@@ -30,6 +30,13 @@
      counts scale with how many nodes fit the budget and are not compared.
      Halving the baseline rate means the dual re-solve path is going stale
      on models it used to repair — a real solver regression;
+   - exact work counts: `lp.bb.nodes`, `lp.simplex.pivots`,
+     `lp.simplex.dual_pivots`, `lp.simplex.bound_flips` and
+     `lp.simplex.refactorisations` must not exceed the baseline's. The ILP
+     leg runs the deterministic wave search under a node budget and no time
+     limit, so these counts depend only on the code, never on the machine
+     or the domain count: a rise is a real regression (a kernel doing more
+     work for the same tree), with no tolerance needed;
    - node throughput: the mean of the `lp.bb.nodes_per_sec` histogram must
      be at least 1/4 of the baseline's. This is the one machine-dependent
      check, hence the wide 4x tolerance: CI machines are slower than dev
@@ -333,6 +340,7 @@ let () =
       "lp.bb.steals";
       "lp.bb.pruned_by_bound";
       "lp.simplex.warm_solves";
+      "lp.simplex.factor_reuses";
       "lp.simplex.dual_pivots";
       "lp.simplex.bound_flips";
       "lp.simplex.deadline_aborts";
@@ -350,6 +358,18 @@ let () =
       Printf.printf "%-32s %12d %12d %8s\n" name b c ratio)
     diff_counters;
   Printf.printf "\n";
+  (* Exact work counts of the deterministic ILP leg; see header. *)
+  List.iter
+    (fun name ->
+      let b = counter baseline name and c = counter current name in
+      check (c <= b) "%s %d <= baseline %d" name c b)
+    [
+      "lp.bb.nodes";
+      "lp.simplex.pivots";
+      "lp.simplex.dual_pivots";
+      "lp.simplex.bound_flips";
+      "lp.simplex.refactorisations";
+    ];
   (* Warm-start health: rate is machine-independent; see header. *)
   let rate doc =
     let h = counter doc "lp.bb.warm_hits" in

@@ -14,30 +14,36 @@ type mapping =
 
 (* The driver is shared between fields; the kernel is not — the float
    instance runs the hand-specialised {!Tableau_float} (unboxed arrays, no
-   per-op indirection), the exact instance the functorised {!Tableau}. *)
+   per-op indirection), the exact instance the functorised {!Tableau}. A
+   kernel compiles a standard form once and then solves it cold or re-solves
+   it warm from a basis snapshot under changed right-hand sides and spans. *)
 module type Kernel = sig
   module F : Field.S
+
+  type compiled
+
+  val compile :
+    nrows:int ->
+    cols:(int * F.t) array array ->
+    c:F.t array ->
+    ubs:F.t option array ->
+    compiled
 
   val solve_cols :
     ?max_iters:int ->
     ?deadline:float ->
-    ?ubs:F.t option array ->
     ?snapshot_out:Tableau.snapshot option ref ->
-    nrows:int ->
-    cols:(int * F.t) array array ->
+    compiled ->
     b:F.t array ->
-    c:F.t array ->
     unit ->
     F.t Tableau.result
 
   val resolve_with_basis :
     ?max_iters:int ->
     ?deadline:float ->
-    nrows:int ->
-    cols:(int * F.t) array array ->
+    compiled ->
     b:F.t array ->
-    c:F.t array ->
-    ubs:F.t option array ->
+    spans:(int * F.t option) list ->
     snapshot:Tableau.snapshot ->
     unit ->
     F.t Tableau.resolve
@@ -46,27 +52,31 @@ end
 module Make_driver (K : Kernel) = struct
   module F = K.F
 
-  (* The standard form translated from one set of variable bounds. Nodes of
-     a branch-and-bound tree reuse it: a child's changed bounds are absorbed
-     as per-column (lo, span) pairs — the kernel keeps its [0, ub] column
-     form, the lower offset is folded into the rhs ([b - A lo]) and the span
-     becomes the column's implicit upper bound — so the constraint matrix,
-     costs and column identities never change and the parent's basis
-     snapshot stays structurally valid for a dual-simplex re-solve. Only a
-     bound change the column form cannot express (a [Fixed] variable coming
-     unfixed, a [Split] free variable acquiring a bound, a [Shifted] /
-     [Flipped] variable losing the bound that anchored it) forces a full
-     re-translation. *)
+  (* The standard form translated from one set of variable bounds
+     ([p_lb] / [p_ub]) and compiled for the kernel once ([p_kernel]: column
+     store, pricing weights, costs, root spans). Nodes of a branch-and-bound
+     tree reuse it: a child's changed bounds are absorbed as per-column
+     (lo, span) pairs — the kernel keeps its [0, ub] column form, the lower
+     offset is folded into the rhs ([b - A lo]) and the span overrides the
+     column's root span — so the constraint matrix, costs and column
+     identities never change and the parent's basis snapshot stays
+     structurally valid for a dual-simplex re-solve. Only variables whose
+     bounds are not physically the prepared ones are re-derived; branching
+     changes one variable per level. A bound change the column form cannot
+     express (a [Fixed] variable coming unfixed, a [Split] free variable
+     acquiring a bound, a [Shifted] / [Flipped] variable losing the bound
+     that anchored it) forces a full re-translation. *)
   type prepared = {
     p_nvars : int;
     p_mapping : mapping array;
-    p_nrows : int;
+    p_konst : F.t array;  (* the mapping's constant (k, l or u) per variable *)
+    p_lb : Q.t option array;
+    p_ub : Q.t option array;
     p_cols : (int * F.t) array array;
+    p_kernel : K.compiled;
     p_b : F.t array;
     p_c : F.t array;
-    p_ubs : F.t option array;
-    p_obj_sign : Q.t;
-    p_obj_const : Q.t;
+    p_obj_const : F.t;  (* the sign-normalised objective constant *)
     p_dir : [ `Minimize | `Maximize ];
   }
 
@@ -214,12 +224,20 @@ module Make_driver (K : Kernel) = struct
       in
       match
         Telemetry.span "lp.simplex.kernel" (fun () ->
-            K.solve_cols ?max_iters ?deadline ~ubs ?snapshot_out ~nrows:m
-              ~cols ~b ~c ())
+            let kernel = K.compile ~nrows:m ~cols ~c ~ubs in
+            (kernel, K.solve_cols ?max_iters ?deadline ?snapshot_out kernel ~b ()))
       with
-      | Tableau.Infeasible -> Infeasible
-      | Tableau.Unbounded -> Unbounded
-      | Tableau.Optimal (value, x) ->
+      | _, Tableau.Infeasible -> Infeasible
+      | _, Tableau.Unbounded -> Unbounded
+      | kernel, Tableau.Optimal (value, x) ->
+        let konst =
+          Array.map
+            (function
+              | Fixed k | Shifted (_, k) | Flipped (_, k) -> F.of_rat k
+              | Split _ -> F.zero)
+            mapping
+        in
+        let obj_const = F.of_rat (Q.mul obj_sign obj_const) in
         (match (capture, snapshot_out) with
          | Some cell, Some { contents = Some snap } ->
            cell.bs_prepared <-
@@ -227,12 +245,13 @@ module Make_driver (K : Kernel) = struct
                {
                  p_nvars = nvars;
                  p_mapping = mapping;
-                 p_nrows = m;
+                 p_konst = konst;
+                 p_lb = lb;
+                 p_ub = ub;
                  p_cols = cols;
+                 p_kernel = kernel;
                  p_b = b;
                  p_c = c;
-                 p_ubs = ubs;
-                 p_obj_sign = obj_sign;
                  p_obj_const = obj_const;
                  p_dir = dir;
                };
@@ -240,15 +259,15 @@ module Make_driver (K : Kernel) = struct
          | _ -> ());
         let value_of v =
           match mapping.(v) with
-          | Fixed k -> F.of_rat k
-          | Shifted (col, l) -> F.add x.(col) (F.of_rat l)
-          | Flipped (col, u) -> F.sub (F.of_rat u) x.(col)
+          | Fixed _ -> konst.(v)
+          | Shifted (col, _) -> F.add x.(col) konst.(v)
+          | Flipped (col, _) -> F.sub konst.(v) x.(col)
           | Split (p, q) -> F.sub x.(p) x.(q)
         in
         let values = Array.init nvars value_of in
         (* Undo the max->min sign flip and re-add the objective constant. *)
         let natural =
-          let base = F.add value (F.of_rat (Q.mul obj_sign obj_const)) in
+          let base = F.add value obj_const in
           match dir with `Minimize -> base | `Maximize -> F.neg base
         in
         Optimal { objective = natural; values }
@@ -256,55 +275,54 @@ module Make_driver (K : Kernel) = struct
 
   exception Remap of string
 
-  (* Express the node bounds [lb] / [ub] in the prepared form's column space
-     as (lo, span) per column, or raise {!Remap} when the mapping cannot
-     carry them (see {!prepared}). *)
-  let overlay p ~lb ~ub =
-    let ncols = Array.length p.p_cols in
-    let lo = Array.make ncols Q.zero in
-    (* slack / surplus / split columns keep their prepared spans; every
-       mapped column below is overwritten from the node bounds *)
-    let span = Array.copy p.p_ubs in
-    for v = 0 to p.p_nvars - 1 do
-      match p.p_mapping.(v) with
-      | Fixed k -> (
-        match (lb.(v), ub.(v)) with
-        | Some l, Some u when Q.equal l k && Q.equal u k -> ()
-        | _ -> raise (Remap "fixed variable came unfixed"))
-      | Shifted (col, l_root) -> (
-        match lb.(v) with
-        | None -> raise (Remap "shifted variable lost its lower bound")
-        | Some l' ->
-          lo.(col) <- Q.sub l' l_root;
-          span.(col) <-
-            Option.map (fun u' -> F.of_rat (Q.sub u' l')) ub.(v))
-      | Flipped (col, u_root) -> (
-        match ub.(v) with
-        | None -> raise (Remap "flipped variable lost its upper bound")
-        | Some u' ->
-          lo.(col) <- Q.sub u_root u';
-          span.(col) <-
-            Option.map (fun l' -> F.of_rat (Q.sub u' l')) lb.(v))
-      | Split (_, _) ->
-        if lb.(v) <> None || ub.(v) <> None then
-          raise (Remap "free variable acquired a bound")
-    done;
-    (lo, span)
+  (* Express the bounds of the [changed] variables (in increasing order) in
+     the prepared form's column space, or raise {!Remap} when the mapping
+     cannot carry them (see {!prepared}). Returns the nonzero lower offsets
+     as (column, lo) and the node spans of the re-derived columns, both in
+     increasing column order: columns are allocated in variable order. *)
+  let overlay p ~lb ~ub changed =
+    let shifts = ref [] and spans = ref [] in
+    let column col lo span =
+      if Q.sign lo <> 0 then shifts := (col, F.of_rat lo) :: !shifts;
+      spans := (col, span) :: !spans
+    in
+    List.iter
+      (fun v ->
+        match p.p_mapping.(v) with
+        | Fixed k -> (
+          match (lb.(v), ub.(v)) with
+          | Some l, Some u when Q.equal l k && Q.equal u k -> ()
+          | _ -> raise (Remap "fixed variable came unfixed"))
+        | Shifted (col, l_root) -> (
+          match lb.(v) with
+          | None -> raise (Remap "shifted variable lost its lower bound")
+          | Some l' ->
+            column col (Q.sub l' l_root)
+              (Option.map (fun u' -> F.of_rat (Q.sub u' l')) ub.(v)))
+        | Flipped (col, u_root) -> (
+          match ub.(v) with
+          | None -> raise (Remap "flipped variable lost its upper bound")
+          | Some u' ->
+            column col (Q.sub u_root u')
+              (Option.map (fun l' -> F.of_rat (Q.sub u' l')) lb.(v)))
+        | Split (_, _) ->
+          if lb.(v) <> None || ub.(v) <> None then
+            raise (Remap "free variable acquired a bound"))
+      changed;
+    (List.rev !shifts, List.rev !spans)
 
-  let warm_solve ?max_iters ?deadline ~(basis : basis) p snap ~lb ~ub =
-    match overlay p ~lb ~ub with
+  let warm_solve ?max_iters ?deadline ~(basis : basis) p snap ~lb ~ub ~changed
+      =
+    match overlay p ~lb ~ub changed with
     | exception Remap reason -> Error reason
-    | lo, span -> (
+    | shifts, spans -> (
       let b_node = Array.copy p.p_b in
-      Array.iteri
-        (fun col l ->
-          if Q.sign l <> 0 then begin
-            let lf = F.of_rat l in
-            Array.iter
-              (fun (i, a) -> b_node.(i) <- F.sub b_node.(i) (F.mul a lf))
-              p.p_cols.(col)
-          end)
-        lo;
+      List.iter
+        (fun (col, lf) ->
+          Array.iter
+            (fun (i, a) -> b_node.(i) <- F.sub b_node.(i) (F.mul a lf))
+            p.p_cols.(col))
+        shifts;
       (* A warm repair normally needs a handful of dual pivots; one still
          going after a quarter of the pivots a cold solve would need is
          degenerate-stalling, and the cold solve is the cheaper way out —
@@ -312,12 +330,12 @@ module Make_driver (K : Kernel) = struct
          rather than burn the node deadline. *)
       let warm_cap =
         min (Option.value max_iters ~default:50_000)
-          (max 100 (p.p_nrows / 4))
+          (max 100 (Array.length p.p_b / 4))
       in
       match
         Telemetry.span "lp.simplex.kernel" (fun () ->
-            K.resolve_with_basis ~max_iters:warm_cap ?deadline ~nrows:p.p_nrows
-              ~cols:p.p_cols ~b:b_node ~c:p.p_c ~ubs:span ~snapshot:snap ())
+            K.resolve_with_basis ~max_iters:warm_cap ?deadline p.p_kernel
+              ~b:b_node ~spans ~snapshot:snap ())
       with
       | Tableau.Stale reason -> Error reason
       | Tableau.Resolved (res, snap') ->
@@ -329,30 +347,24 @@ module Make_driver (K : Kernel) = struct
           | Tableau.Infeasible -> Infeasible
           | Tableau.Unbounded -> Unbounded
           | Tableau.Optimal (value, x) ->
+            let lo = Array.make (Array.length p.p_cols) F.zero in
+            List.iter (fun (col, lf) -> lo.(col) <- lf) shifts;
             let value_of v =
               match p.p_mapping.(v) with
-              | Fixed k -> F.of_rat k
-              | Shifted (col, l) ->
-                F.add (F.add x.(col) (F.of_rat lo.(col))) (F.of_rat l)
-              | Flipped (col, u) ->
-                F.sub (F.of_rat u) (F.add x.(col) (F.of_rat lo.(col)))
+              | Fixed _ -> p.p_konst.(v)
+              | Shifted (col, _) -> F.add (F.add x.(col) lo.(col)) p.p_konst.(v)
+              | Flipped (col, _) -> F.sub p.p_konst.(v) (F.add x.(col) lo.(col))
               | Split (pc, qc) -> F.sub x.(pc) x.(qc)
             in
             let values = Array.init p.p_nvars value_of in
             (* the kernel solved in shifted column space: undo the shift's
                contribution to the objective, then the max->min sign flip *)
-            let shift_cost = ref F.zero in
-            Array.iteri
-              (fun col l ->
-                if Q.sign l <> 0 then
-                  shift_cost :=
-                    F.add !shift_cost (F.mul p.p_c.(col) (F.of_rat l)))
-              lo;
-            let base =
-              F.add
-                (F.add value !shift_cost)
-                (F.of_rat (Q.mul p.p_obj_sign p.p_obj_const))
+            let shift_cost =
+              List.fold_left
+                (fun acc (col, lf) -> F.add acc (F.mul p.p_c.(col) lf))
+                F.zero shifts
             in
+            let base = F.add (F.add value shift_cost) p.p_obj_const in
             let natural =
               match p.p_dir with `Minimize -> base | `Maximize -> F.neg base
             in
@@ -363,47 +375,75 @@ module Make_driver (K : Kernel) = struct
     Telemetry.count "lp.simplex.relaxations";
     let lb, ub = effective_bounds ?bounds model in
     let nvars = Model.var_count model in
-    let empty = ref false in
-    for v = 0 to nvars - 1 do
+    let empty v =
       match (lb.(v), ub.(v)) with
-      | Some l, Some u when Q.compare l u > 0 -> empty := true
-      | _ -> ()
-    done;
-    if !empty then Infeasible
-    else begin
-      let cold capture =
-        cold_solve ?max_iters ?deadline ?capture ~lb ~ub model
-      in
-      match basis with
-      | None -> cold None
-      | Some cell -> (
-        match (cell.bs_prepared, cell.bs_snapshot) with
-        | Some p, Some snap when p.p_nvars = nvars -> (
-          match warm_solve ?max_iters ?deadline ~basis:cell p snap ~lb ~ub with
-          | Ok outcome ->
-            Telemetry.count "lp.bb.warm_hits";
-            outcome
-          | Error _reason ->
-            (* stale basis or an overlay-incompatible bound change: full
-               cold re-solve, refreshing the cell for the subtree below *)
-            Telemetry.count "lp.bb.warm_fallbacks";
-            cold (Some cell))
-        | _ ->
-          (* fresh cell: first solve just fills it, no fallback counted *)
+      | Some l, Some u -> Q.compare l u > 0
+      | _ -> false
+    in
+    let cold capture =
+      cold_solve ?max_iters ?deadline ?capture ~lb ~ub model
+    in
+    match basis with
+    | Some ({ bs_prepared = Some p; bs_snapshot = Some snap } as cell)
+      when p.p_nvars = nvars -> (
+      (* the prepared form was only built from non-empty bounds, so only
+         the bounds that are not physically its own can be empty *)
+      let changed = ref [] in
+      for v = nvars - 1 downto 0 do
+        if lb.(v) != p.p_lb.(v) || ub.(v) != p.p_ub.(v) then
+          changed := v :: !changed
+      done;
+      if List.exists empty !changed then Infeasible
+      else
+        match
+          warm_solve ?max_iters ?deadline ~basis:cell p snap ~lb ~ub
+            ~changed:!changed
+        with
+        | Ok outcome ->
+          Telemetry.count "lp.bb.warm_hits";
+          outcome
+        | Error _reason ->
+          (* stale basis or an overlay-incompatible bound change: full
+             cold re-solve, refreshing the cell for the subtree below *)
+          Telemetry.count "lp.bb.warm_fallbacks";
           cold (Some cell))
-    end
+    | _ ->
+      if Seq.exists empty (Seq.init nvars Fun.id) then Infeasible
+      else
+        (* no warm start, or a fresh cell that this first solve fills: no
+           fallback counted *)
+        cold basis
 end
 
 module Float_kernel = struct
   module F = Field.Approx
-
-  let solve_cols = Tableau_float.solve_cols
-  let resolve_with_basis = Tableau_float.resolve_with_basis
+  include Tableau_float
 end
 
+(* The functorised kernel has no compiled form of its own: compiling just
+   keeps the arrays, and a re-solve expands the span changes. *)
 module Exact_kernel = struct
   module F = Field.Exact
-  include Tableau.Make (Field.Exact)
+  module T = Tableau.Make (Field.Exact)
+
+  type compiled = {
+    nrows : int;
+    cols : (int * Q.t) array array;
+    c : Q.t array;
+    ubs : Q.t option array;
+  }
+
+  let compile ~nrows ~cols ~c ~ubs = { nrows; cols; c; ubs }
+
+  let solve_cols ?max_iters ?deadline ?snapshot_out k ~b () =
+    T.solve_cols ?max_iters ?deadline ~ubs:k.ubs ?snapshot_out ~nrows:k.nrows
+      ~cols:k.cols ~b ~c:k.c ()
+
+  let resolve_with_basis ?max_iters ?deadline k ~b ~spans ~snapshot () =
+    let ubs = Array.copy k.ubs in
+    List.iter (fun (j, u) -> ubs.(j) <- u) spans;
+    T.resolve_with_basis ?max_iters ?deadline ~nrows:k.nrows ~cols:k.cols ~b
+      ~c:k.c ~ubs ~snapshot ()
 end
 
 module Float_driver = Make_driver (Float_kernel)
@@ -413,6 +453,9 @@ type basis = Float_driver.basis
 
 let new_basis = Float_driver.new_basis
 let copy_basis = Float_driver.copy_basis
+
+let stored_factor (cell : basis) =
+  Option.bind cell.bs_snapshot (fun s -> Atomic.get s.Tableau.s_factor)
 
 let solve_relaxation_float ?max_iters ?deadline ?bounds ?basis model =
   Float_driver.solve ?max_iters ?deadline ?bounds ?basis model

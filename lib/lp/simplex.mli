@@ -1,16 +1,18 @@
 (** LP-relaxation solver front-end.
 
     Converts a {!Model} (arbitrary bounds, [<=]/[>=]/[=] rows, min or max
-    objective) into the standard form expected by {!Tableau} — shifting
-    lower-bounded variables, splitting free ones, adding upper-bound rows
-    and slack/surplus columns — and maps the solution back to model
-    variables. Integrality is ignored here; {!Branch_bound} adds it.
+    objective) into the bounded standard form expected by the kernels —
+    shifting lower-bounded variables, flipping upper-bounded ones, splitting
+    free ones, turning double bounds into column spans and adding
+    slack/surplus columns — and maps the solution back to model variables.
+    Integrality is ignored here; {!Branch_bound} adds it.
 
-    For branch-and-bound the translation can be reused across nodes: a
-    {!basis} cell carries the translated standard form plus the final basis
-    of the last [Optimal] solve, and a subsequent solve holding the cell is
-    warm-started with a dual-simplex re-solve ({!Tableau.Make}
-    [.resolve_with_basis]) instead of a cold two-phase solve. *)
+    For branch-and-bound the translation is compiled once and reused across
+    nodes: a {!basis} cell carries the compiled standard form plus the final
+    basis of the last [Optimal] solve, and a subsequent solve holding the
+    cell is warm-started with a dual-simplex re-solve
+    ({!Tableau_float.resolve_with_basis}) instead of a cold two-phase
+    solve. *)
 
 type 'num outcome =
   | Optimal of { objective : 'num; values : 'num array }
@@ -34,8 +36,14 @@ val new_basis : unit -> basis
 
 val copy_basis : basis -> basis
 (** An independent cell with the same contents — the copy-on-branch step of
-    branch-and-bound (the snapshot and prepared form inside are immutable
-    and shared; only the cell itself is fresh). *)
+    branch-and-bound. The prepared form and the snapshot inside are shared,
+    and so is the snapshot's write-once factor cell: the first of two
+    sibling re-solves refactorises the parent's basis, the second installs
+    that factor (see {!Tableau.snapshot}). Only the cell itself is fresh. *)
+
+val stored_factor : basis -> Tableau.factor option
+(** The factor a warm re-solve from this cell's snapshot has published, if
+    any. For tests: a published factor is never written to again. *)
 
 val solve_relaxation_float :
   ?max_iters:int ->

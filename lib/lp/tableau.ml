@@ -5,11 +5,33 @@ type 'num result =
 
 exception Deadline_exceeded
 
+(* The float kernel's eta record and refactorised basis; see tableau.mli. *)
+type eta = {
+  e_row : int;
+  e_pivot : float;
+  e_idx : int array;
+  e_val : float array;
+}
+
+type factor = { f_basis : int array; f_etas : eta array }
+
 (* A basis snapshot is field-independent (which columns are basic and which
    nonbasic columns rest at their upper bound), so it is shared between the
    functorised kernel and the float-specialised {!Tableau_float}: a parent
-   node's snapshot from either kernel can warm-start a re-solve. *)
-type snapshot = { s_basis : int array; s_at_ub : bool array }
+   node's snapshot from either kernel can warm-start a re-solve. The factor
+   cell is written at most once, by the float kernel. *)
+type snapshot = {
+  s_basis : int array;
+  s_at_ub : bool array;
+  s_factor : factor option Atomic.t;
+}
+
+let new_snapshot ~basis ~at_ub =
+  {
+    s_basis = Array.copy basis;
+    s_at_ub = Array.copy at_ub;
+    s_factor = Atomic.make None;
+  }
 
 type 'num resolve =
   | Resolved of 'num result * snapshot option
@@ -835,11 +857,7 @@ module Make (F : Field.S) = struct
               done;
               Resolved
                 ( Optimal (!value, x),
-                  Some
-                    {
-                      s_basis = Array.copy st.basis;
-                      s_at_ub = Array.copy st.at_ub;
-                    } )
+                  Some (new_snapshot ~basis:st.basis ~at_ub:st.at_ub) )
             end)
       end
     end
@@ -971,12 +989,7 @@ module Make (F : Field.S) = struct
           done;
           (match snapshot_out with
            | Some cell ->
-             cell :=
-               Some
-                 {
-                   s_basis = Array.copy st.basis;
-                   s_at_ub = Array.copy st.at_ub;
-                 }
+             cell := Some (new_snapshot ~basis:st.basis ~at_ub:st.at_ub)
            | None -> ());
           Optimal (!value, x)
       end

@@ -27,12 +27,41 @@ exception Deadline_exceeded
     solve finishes, so time-limited callers are not at the mercy of one
     long-running relaxation. *)
 
-type snapshot = { s_basis : int array; s_at_ub : bool array }
+type eta = {
+  e_row : int;
+  e_pivot : float;  (** [1 / alpha_r] *)
+  e_idx : int array;  (** rows [i <> e_row] with nonzero [alpha_i] *)
+  e_val : float array;  (** [-alpha_i / alpha_r], parallel to [e_idx] *)
+}
+(** One product-form eta record of the float kernel {!Tableau_float}. *)
+
+type factor = { f_basis : int array; f_etas : eta array }
+(** A refactorised basis of the float kernel: the row each basic column was
+    placed in by refactorisation ([f_basis]) and the eta file that
+    represents its inverse (exactly [Array.length f_etas] records). A
+    stored factor is shared between solves and never written to. *)
+
+type snapshot = {
+  s_basis : int array;
+  s_at_ub : bool array;
+  s_factor : factor option Atomic.t;
+}
 (** A basis snapshot: which column is basic in each row ([s_basis], entries
     [>= n] are artificial) and which nonbasic structural columns rest at
-    their upper bound ([s_at_ub]). The snapshot is field-independent, so a
+    their upper bound ([s_at_ub]). The basis part is field-independent, so a
     parent node's basis from either the functorised or the float kernel can
-    warm-start a re-solve in the other. *)
+    warm-start a re-solve in the other.
+
+    [s_factor] is a write-once cell. The first float re-solve from the
+    snapshot refactorises [s_basis] and publishes the result with
+    [Atomic.compare_and_set]; later re-solves from the same snapshot (the
+    sibling branch) install it instead of refactorising. Refactorisation
+    depends only on the basis order and the matrix, so the installed factor
+    is bit for bit the one the sibling would have built. The functorised
+    kernel ignores the cell. *)
+
+val new_snapshot : basis:int array -> at_ub:bool array -> snapshot
+(** A snapshot of copies of [basis] and [at_ub] with an empty factor cell. *)
 
 type 'num resolve =
   | Resolved of 'num result * snapshot option

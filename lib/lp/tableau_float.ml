@@ -1,22 +1,29 @@
-(* Float-specialised copy of the bounded-variable simplex kernel in
-   {!Tableau.Make}.
+(* Float bounded-variable simplex kernel: the one {!Simplex.Float_driver}
+   runs on every LP relaxation.
 
-   The functorised kernel pays an indirect call and a float box per
-   arithmetic operation (this switch has no flambda, so [Field.S] calls are
-   never inlined and ['a array] never unboxes), which dominates the
-   per-pivot cost on the branch-and-bound relaxations. This copy hardcodes
-   [t = float] so every hot array is an unboxed [float array] and every
-   comparison is inline, and is what {!Simplex.Float_driver} actually runs;
-   the exact-rational driver stays on the functor. The algorithm — crash
-   basis, two phases, bounded-variable ratio test with bound flips,
-   fill-avoiding refactorisation, steepest-edge-lite pricing with Bland
-   fallback — mirrors [tableau.ml] statement for statement; keep the two in
-   sync (the exact-vs-float property test in [test_lp.ml] cross-checks
-   them on random models). Tolerances match {!Field.Approx} ([eps = 1e-9]). *)
+   It implements the algorithm of {!Tableau.Make} — crash basis, two primal
+   phases, bounded-variable ratio test with bound flips, fill-avoiding
+   refactorisation, steepest-edge-lite pricing with a Bland fallback — with
+   [float] hardcoded, so every hot array is an unboxed [float array] and
+   every comparison is inline (this switch has no flambda, so the functor
+   pays an indirect call and a float box per operation). On top of the
+   functor it has two things of its own:
+
+   - a compiled column store ({!compiled}): the standard form's row-index
+     and value arrays, pricing weights, costs and root spans, built once
+     per branch-and-bound search and shared read-only by the cold root
+     solve and every warm node re-solve;
+   - the write-once factor cell of {!Tableau.snapshot}: the first warm
+     re-solve from a snapshot publishes its refactorised basis, and the
+     sibling installs it instead of refactorising.
+
+   The exact-vs-float property test in [test_lp.ml] cross-checks the two
+   kernels on random models. Tolerances match {!Field.Approx}
+   ([eps = 1e-9]). *)
 
 let eps = 1e-9
 
-type eta = {
+type eta = Tableau.eta = {
   e_row : int;
   e_pivot : float;  (* 1 / alpha_r *)
   e_idx : int array;  (* rows i <> e_row with nonzero alpha_i *)
@@ -25,11 +32,47 @@ type eta = {
 
 let dummy_eta = { e_row = 0; e_pivot = 1.0; e_idx = [||]; e_val = [||] }
 
+type compiled = {
+  k_nrows : int;
+  k_cidx : int array array;  (* structural columns: row indices *)
+  k_cval : float array array;  (* structural columns: coefficients *)
+  k_weight : float array;  (* pricing weight 1 + ||a_j||^2 *)
+  k_c : float array;
+  k_ubs : float array;  (* root span per column, [infinity] = none *)
+}
+
+let compile ~nrows:m ~cols ~c ~ubs =
+  let n = Array.length cols in
+  if Array.length c <> n then invalid_arg "Tableau.solve: c length";
+  if Array.length ubs <> n then invalid_arg "Tableau.solve: ubs length";
+  let cidx = Array.map (fun col -> Array.map fst col) cols in
+  let cval = Array.map (fun col -> Array.map snd col) cols in
+  Array.iter
+    (fun idx ->
+      Array.iter
+        (fun i -> if i < 0 || i >= m then invalid_arg "Tableau.solve: row out of range")
+        idx)
+    cidx;
+  let k_ubs =
+    Array.map
+      (function
+        | Some x when x <= eps -> invalid_arg "Tableau.solve: non-positive upper bound"
+        | Some x -> x
+        | None -> infinity)
+      ubs
+  in
+  let weight =
+    Array.map
+      (fun vl -> Array.fold_left (fun acc x -> acc +. (x *. x)) 1.0 vl)
+      cval
+  in
+  { k_nrows = m; k_cidx = cidx; k_cval = cval; k_weight = weight; k_c = c; k_ubs }
+
 type state = {
   m : int;
   n : int;
-  cidx : int array array;  (* structural columns: row indices *)
-  cval : float array array;  (* structural columns: coefficients *)
+  cidx : int array array;  (* shared with the compiled store, read-only *)
+  cval : float array array;
   ubs : float array;  (* upper bound per structural column, [infinity] = none *)
   at_ub : bool array;
   weight : float array;
@@ -118,12 +161,35 @@ let pivot st ~row ~col ~t ~dir ~enter_val alpha =
   st.basis.(row) <- col;
   st.pos.(col) <- row
 
+(* Positions and basic values for a freshly loaded factor:
+   x_B = B^-1 (b - sum of the at-upper nonbasic columns times their span). *)
+let load_x_b st =
+  Array.fill st.pos 0 (st.n + st.m) (-1);
+  Array.iteri (fun i col -> st.pos.(col) <- i) st.basis;
+  Array.blit st.b 0 st.x_b 0 st.m;
+  for j = 0 to st.n - 1 do
+    if st.pos.(j) < 0 && st.at_ub.(j) then begin
+      let u = st.ubs.(j) in
+      let idx = st.cidx.(j) and vl = st.cval.(j) in
+      for k = 0 to Array.length idx - 1 do
+        st.x_b.(idx.(k)) <- st.x_b.(idx.(k)) -. (vl.(k) *. u)
+      done
+    end
+  done;
+  ftran st st.x_b;
+  for i = 0 to st.m - 1 do
+    st.x_b.(i) <- clamp st.x_b.(i)
+  done;
+  st.factor_etas <- st.n_etas
+
 (* See [Tableau.Make.refactor]: identity-like columns first, then dynamic
-   row-singleton elimination, then a dense sweep over the residual bump. *)
-let refactor st refactorisations =
+   row-singleton elimination, then a dense sweep over the residual bump.
+   The eta file goes into a fresh array: the old one may belong to a
+   published {!Tableau.factor}, which no solve may write into. *)
+let refactor st =
   let rt0 = Telemetry.Clock.now_s () in
+  st.etas <- Array.make (max 16 st.m) dummy_eta;
   st.n_etas <- 0;
-  incr refactorisations;
   let order = Array.copy st.basis in
   let taken = Array.make st.m false in
   let placed = Array.make st.m false in
@@ -215,23 +281,7 @@ let refactor st refactorisations =
       !bump
   in
   List.iter (fun t -> pivot_full t order.(t) ~row_hint:None) bump;
-  Array.fill st.pos 0 (st.n + st.m) (-1);
-  Array.iteri (fun i col -> st.pos.(col) <- i) st.basis;
-  Array.blit st.b 0 st.x_b 0 st.m;
-  for j = 0 to st.n - 1 do
-    if st.pos.(j) < 0 && st.at_ub.(j) then begin
-      let u = st.ubs.(j) in
-      let idx = st.cidx.(j) and vl = st.cval.(j) in
-      for k = 0 to Array.length idx - 1 do
-        st.x_b.(idx.(k)) <- st.x_b.(idx.(k)) -. (vl.(k) *. u)
-      done
-    end
-  done;
-  ftran st st.x_b;
-  for i = 0 to st.m - 1 do
-    st.x_b.(i) <- clamp st.x_b.(i)
-  done;
-  st.factor_etas <- st.n_etas;
+  load_x_b st;
   Telemetry.observe "lp.simplex.refactor_s" (Telemetry.Clock.now_s () -. rt0)
 
 (* See [Tableau.Make.entering]; [c_of] is split into the structural cost
@@ -348,7 +398,10 @@ let run_phase st ~c ~phase2 ~max_iters ~iter_count ~deadline ~pivots
        raise Tableau.Deadline_exceeded
      | Some _ | None -> ());
     incr iter_count;
-    if st.n_etas - st.factor_etas > refactor_limit then refactor st refactorisations;
+    if st.n_etas - st.factor_etas > refactor_limit then begin
+      incr refactorisations;
+      refactor st
+    end;
     let bland = !iter_count > switch in
     match entering st ~c ~phase2 ~bland ~y alpha with
     | None -> `Optimal
@@ -440,8 +493,10 @@ let dual_phase st ~c ~max_iters ~iter_count ~deadline ~dual_pivots ~flips
          raise Tableau.Deadline_exceeded
        | Some _ | None -> ());
       incr iter_count;
-      if st.n_etas - st.factor_etas > refactor_limit then
-        refactor st refactorisations;
+      if st.n_etas - st.factor_etas > refactor_limit then begin
+        incr refactorisations;
+        refactor st
+      end;
       (* Bound-ratio pricing of the infeasible basic variables. *)
       let row = ref (-1) and score = ref 0.0 and above = ref false in
       for i = 0 to st.m - 1 do
@@ -597,33 +652,53 @@ let dual_phase st ~c ~max_iters ~iter_count ~deadline ~dual_pivots ~flips
   in
   loop ()
 
-let resolve_with_basis ?(max_iters = 50_000) ?deadline ~nrows:m ~cols ~b ~c
-    ~ubs ~snapshot () =
-  let n = Array.length cols in
+(* Load the factor of [snapshot]'s basis into [st], whose [basis] is a copy
+   of the snapshot's: install the published factor when a sibling re-solve
+   has stored one, otherwise refactorise and try to publish. A solve that
+   loses the publication race to another domain counts as a reuse, so both
+   counters depend only on the search tree, never on which domain got
+   there first. *)
+let warm_factor st snapshot ~refactorisations ~factor_reuses =
+  let cell = snapshot.Tableau.s_factor in
+  match Atomic.get cell with
+  | Some f ->
+    Array.blit f.Tableau.f_basis 0 st.basis 0 st.m;
+    (* exactly full, so the first eta this solve pushes reallocates *)
+    st.etas <- f.f_etas;
+    st.n_etas <- Array.length f.f_etas;
+    load_x_b st;
+    incr factor_reuses
+  | None ->
+    (match refactor st with
+     | () -> ()
+     | exception e ->
+       incr refactorisations;
+       raise e);
+    let f =
+      { Tableau.f_basis = Array.copy st.basis; f_etas = Array.sub st.etas 0 st.n_etas }
+    in
+    if Atomic.compare_and_set cell None (Some f) then incr refactorisations
+    else incr factor_reuses
+
+let resolve_with_basis ?(max_iters = 50_000) ?deadline k ~b ~spans ~snapshot ()
+    =
+  let m = k.k_nrows and n = Array.length k.k_cidx in
   if Array.length b <> m then invalid_arg "Tableau.resolve: b length";
-  if Array.length c <> n then invalid_arg "Tableau.resolve: c length";
-  if Array.length ubs <> n then invalid_arg "Tableau.resolve: ubs length";
   if
     Array.length snapshot.Tableau.s_basis <> m
     || Array.length snapshot.Tableau.s_at_ub <> n
   then invalid_arg "Tableau.resolve: snapshot shape";
   (* A negative span means the node fixed a variable to an impossible
      range: the subproblem is infeasible before any pivoting. *)
-  if Array.exists (function Some u -> u < -.eps | None -> false) ubs then
-    Tableau.Resolved (Tableau.Infeasible, None)
+  if List.exists (function _, Some u -> u < -.eps | _, None -> false) spans
+  then Tableau.Resolved (Tableau.Infeasible, None)
   else begin
-    let ub_arr = Array.make n infinity in
-    Array.iteri
-      (fun j uo ->
-        match uo with Some x -> ub_arr.(j) <- Float.max x 0.0 | None -> ())
-      ubs;
-    let cidx = Array.map (fun col -> Array.map fst col) cols in
-    let cval = Array.map (fun col -> Array.map snd col) cols in
-    let weight =
-      Array.map
-        (fun vl -> Array.fold_left (fun acc x -> acc +. (x *. x)) 1.0 vl)
-        cval
-    in
+    let ub_arr = Array.copy k.k_ubs in
+    List.iter
+      (fun (j, uo) ->
+        ub_arr.(j) <- (match uo with Some x -> Float.max x 0.0 | None -> infinity))
+      spans;
+    let c = k.k_c in
     let basis = Array.copy snapshot.Tableau.s_basis in
     let at_ub = Array.copy snapshot.Tableau.s_at_ub in
     let pos = Array.make (n + m) (-1) in
@@ -643,16 +718,16 @@ let resolve_with_basis ?(max_iters = 50_000) ?deadline ~nrows:m ~cols ~b ~c
         {
           m;
           n;
-          cidx;
-          cval;
+          cidx = k.k_cidx;
+          cval = k.k_cval;
           ubs = ub_arr;
           at_ub;
-          weight;
+          weight = k.k_weight;
           basis;
           pos;
           x_b = Array.make m 0.0;
           b = Array.copy b;
-          etas = [| dummy_eta |];
+          etas = [||];
           n_etas = 0;
           factor_etas = 0;
         }
@@ -661,21 +736,23 @@ let resolve_with_basis ?(max_iters = 50_000) ?deadline ~nrows:m ~cols ~b ~c
       and bland_pivots = ref 0
       and flips = ref 0
       and dual_pivots = ref 0
-      and refactorisations = ref 0 in
+      and refactorisations = ref 0
+      and factor_reuses = ref 0 in
       let flush () =
         Telemetry.count "lp.simplex.warm_solves";
         Telemetry.count ~by:!pivots "lp.simplex.pivots";
         Telemetry.count ~by:!dual_pivots "lp.simplex.dual_pivots";
         Telemetry.count ~by:!bland_pivots "lp.simplex.bland_pivots";
         Telemetry.count ~by:!flips "lp.simplex.bound_flips";
-        Telemetry.count ~by:!refactorisations "lp.simplex.refactorisations"
+        Telemetry.count ~by:!refactorisations "lp.simplex.refactorisations";
+        Telemetry.count ~by:!factor_reuses "lp.simplex.factor_reuses"
       in
       Fun.protect ~finally:flush @@ fun () ->
       let iter_count = ref 0 in
       let alpha = Array.make m 0.0 in
       match
         (try
-           refactor st refactorisations;
+           warm_factor st snapshot ~refactorisations ~factor_reuses;
            dual_phase st ~c ~max_iters ~iter_count ~deadline ~dual_pivots
              ~flips ~refactorisations alpha
          with Failure msg -> `Failed msg)
@@ -738,46 +815,16 @@ let resolve_with_basis ?(max_iters = 50_000) ?deadline ~nrows:m ~cols ~b ~c
             done;
             Tableau.Resolved
               ( Tableau.Optimal (!value, x),
-                Some
-                  {
-                    Tableau.s_basis = Array.copy st.basis;
-                    s_at_ub = Array.copy st.at_ub;
-                  } )
+                Some (Tableau.new_snapshot ~basis:st.basis ~at_ub:st.at_ub) )
           end)
     end
   end
 
-let solve_cols ?(max_iters = 50_000) ?deadline ?ubs ?snapshot_out ~nrows:m
-    ~cols ~b ~c () =
-  let n = Array.length cols in
+let solve_cols ?(max_iters = 50_000) ?deadline ?snapshot_out k ~b () =
+  let m = k.k_nrows and n = Array.length k.k_cidx in
   if Array.length b <> m then invalid_arg "Tableau.solve: b length";
-  if Array.length c <> n then invalid_arg "Tableau.solve: c length";
-  let ub_arr = Array.make n infinity in
-  (match ubs with
-   | None -> ()
-   | Some u ->
-     if Array.length u <> n then invalid_arg "Tableau.solve: ubs length";
-     Array.iteri
-       (fun j uo ->
-         match uo with
-         | Some x when x <= eps -> invalid_arg "Tableau.solve: non-positive upper bound"
-         | Some x -> ub_arr.(j) <- x
-         | None -> ())
-       u);
-  let cidx = Array.map (fun col -> Array.map fst col) cols in
-  let cval = Array.map (fun col -> Array.map snd col) cols in
-  Array.iter
-    (fun idx ->
-      Array.iter
-        (fun i -> if i < 0 || i >= m then invalid_arg "Tableau.solve: row out of range")
-        idx)
-    cidx;
   Array.iter (fun bi -> if bi < -.eps then invalid_arg "Tableau.solve: negative rhs") b;
-  let weight =
-    Array.map
-      (fun vl -> Array.fold_left (fun acc x -> acc +. (x *. x)) 1.0 vl)
-      cval
-  in
+  let cidx = k.k_cidx and cval = k.k_cval and ub_arr = k.k_ubs and c = k.k_c in
   let basis = Array.init m (fun i -> n + i) in
   let covered = Array.make m false in
   for j = 0 to n - 1 do
@@ -801,7 +848,7 @@ let solve_cols ?(max_iters = 50_000) ?deadline ?ubs ?snapshot_out ~nrows:m
       cval;
       ubs = ub_arr;
       at_ub = Array.make n false;
-      weight;
+      weight = k.k_weight;
       basis;
       pos;
       x_b = Array.map clamp b;
@@ -856,12 +903,7 @@ let solve_cols ?(max_iters = 50_000) ?deadline ?ubs ?snapshot_out ~nrows:m
       | `Optimal ->
         (match snapshot_out with
          | Some cell ->
-           cell :=
-             Some
-               {
-                 Tableau.s_basis = Array.copy st.basis;
-                 s_at_ub = Array.copy st.at_ub;
-               }
+           cell := Some (Tableau.new_snapshot ~basis:st.basis ~at_ub:st.at_ub)
          | None -> ());
         let x = Array.make n 0.0 in
         for j = 0 to n - 1 do

@@ -286,6 +286,93 @@ let prop_warm_resolve_matches_cold =
            Float.abs (w -. c) < 1e-6
          | _, _ -> false))
 
+(* Sibling re-solves share the factor of their parent's basis: the first
+   one refactorises and publishes it, the second installs it. The two
+   branches of x_vi at k are solved from one parent in both orders and
+   from private parents (each refactorising for itself); every way must
+   give bit-identical outcomes. *)
+let arb_siblings =
+  let gen =
+    QCheck.Gen.(
+      QCheck.gen arb_lp >>= fun ((nvars, _, _) as spec) ->
+      int_range 0 (nvars - 1) >>= fun vi ->
+      int_range 0 49 >>= fun k -> return (spec, vi, k))
+  in
+  let print_lp = Option.get arb_lp.QCheck.print in
+  QCheck.make gen ~print:(fun (spec, vi, k) ->
+      Printf.sprintf "%s branch x%d at %d" (print_lp spec) vi k)
+
+let bits = function
+  | S.Optimal { objective; values } ->
+    Some (Int64.bits_of_float objective, Array.map Int64.bits_of_float values)
+  | S.Infeasible | S.Unbounded -> None
+
+(* The model, a fresh cold-solved parent cell, and the two child bound
+   vectors, which share every unchanged entry with the root's as
+   branch-and-bound's do. *)
+let siblings ((nvars, _, _) as spec) vi k =
+  let m = build_lp spec in
+  let root = Array.init nvars (fun _ -> (Some Q.zero, Some (Q.of_int 50))) in
+  let child bound =
+    let b = Array.copy root in
+    b.(vi) <- bound;
+    b
+  in
+  let parent () =
+    let cell = S.new_basis () in
+    ignore (S.solve_relaxation_float ~bounds:root ~basis:cell m);
+    cell
+  in
+  let down = child (Some Q.zero, Some (Q.of_int k)) in
+  let up = child (Some (Q.of_int (k + 1)), Some (Q.of_int 50)) in
+  let solve cell bounds =
+    bits (S.solve_relaxation_float ~bounds ~basis:(S.copy_basis cell) m)
+  in
+  (parent, solve, down, up)
+
+let factor_contents (f : Lp.Tableau.factor) =
+  ( Array.copy f.f_basis,
+    Array.map
+      (fun (e : Lp.Tableau.eta) ->
+        (e.e_row, Int64.bits_of_float e.e_pivot, Array.copy e.e_idx,
+         Array.map Int64.bits_of_float e.e_val))
+      f.f_etas )
+
+let prop_sibling_factor_shared =
+  QCheck.Test.make ~name:"sibling re-solves sharing a factor are bit-identical"
+    ~count:150 arb_siblings (fun (spec, vi, k) ->
+      let parent, solve, down, up = siblings spec vi k in
+      let shared = parent () in
+      let down1 = solve shared down in
+      match S.stored_factor shared with
+      | None -> false (* the first sibling must publish its factor *)
+      | Some f ->
+        let before = factor_contents f in
+        let up1 = solve shared up in
+        let untouched =
+          match S.stored_factor shared with
+          | Some f' -> f' == f && factor_contents f' = before
+          | None -> false
+        in
+        let reversed = parent () in
+        let up2 = solve reversed up in
+        let down2 = solve reversed down in
+        let down3 = solve (parent ()) down and up3 = solve (parent ()) up in
+        untouched && down1 = down2 && down1 = down3 && up1 = up2 && up1 = up3)
+
+let prop_sibling_factor_domains =
+  QCheck.Test.make ~name:"siblings re-solved on two domains match sequential"
+    ~count:50 arb_siblings (fun (spec, vi, k) ->
+      let parent, solve, down, up = siblings spec vi k in
+      let sequential = parent () in
+      let down1 = solve sequential down in
+      let up1 = solve sequential up in
+      let shared = parent () in
+      let d = Domain.spawn (fun () -> solve shared down) in
+      let u = Domain.spawn (fun () -> solve shared up) in
+      let down2 = Domain.join d and up2 = Domain.join u in
+      down1 = down2 && up1 = up2)
+
 (* ---------- Presolve ---------- *)
 
 let test_presolve_tightens () =
@@ -571,7 +658,13 @@ let () =
           Alcotest.test_case "degenerate (Beale)" `Quick test_simplex_degenerate;
         ] );
       ( "simplex-props",
-        qsuite [ prop_exact_matches_float; prop_warm_resolve_matches_cold ] );
+        qsuite
+          [
+            prop_exact_matches_float;
+            prop_warm_resolve_matches_cold;
+            prop_sibling_factor_shared;
+            prop_sibling_factor_domains;
+          ] );
       ( "presolve",
         [
           Alcotest.test_case "tightens bounds" `Quick test_presolve_tightens;
