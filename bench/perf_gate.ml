@@ -37,6 +37,12 @@
      limit, so these counts depend only on the code, never on the machine
      or the domain count: a rise is a real regression (a kernel doing more
      work for the same tree), with no tolerance needed;
+   - layering work counts: `layering.layers`, `layering.evictions`,
+     `layering.min_cuts`, `layering.mis_rounds` and
+     `layering.mis_selected` must equal the baseline's exactly. Layering is
+     deterministic and runs before any solver, so these counts depend only
+     on the code: a change in either direction is a behaviour change, not
+     noise;
    - node throughput: the mean of the `lp.bb.nodes_per_sec` histogram must
      be at least 1/4 of the baseline's. This is the one machine-dependent
      check, hence the wide 4x tolerance: CI machines are slower than dev
@@ -230,6 +236,15 @@ let check ok fmt =
       end)
     fmt
 
+let layering_counters =
+  [
+    "layering.layers";
+    "layering.evictions";
+    "layering.min_cuts";
+    "layering.mis_rounds";
+    "layering.mis_selected";
+  ]
+
 (* ------------------------------------------------------- --same mode *)
 
 (* Deep structural diff of the solver-result sections, with timing fields
@@ -345,6 +360,7 @@ let () =
       "lp.simplex.bound_flips";
       "lp.simplex.deadline_aborts";
     ]
+    @ layering_counters
   in
   Printf.printf "\n%-32s %12s %12s %8s\n" "counter" "baseline" "current" "ratio";
   Printf.printf "%s\n" (String.make 68 '-');
@@ -370,6 +386,12 @@ let () =
       "lp.simplex.bound_flips";
       "lp.simplex.refactorisations";
     ];
+  (* Exact layering work counts; see header. *)
+  List.iter
+    (fun name ->
+      let b = counter baseline name and c = counter current name in
+      check (c = b) "%s %d = baseline %d" name c b)
+    layering_counters;
   (* Warm-start health: rate is machine-independent; see header. *)
   let rate doc =
     let h = counter doc "lp.bb.warm_hits" in

@@ -17,189 +17,159 @@ type t = {
   layer_of_op : int array;
 }
 
-module Iset = Set.Make (Int)
-
-(* Descendants of [v] within the vertex set [inside], computed on the full
-   dependency graph. *)
-let descendants_within g inside v =
-  let n = G.vertex_count g in
-  let seen = Array.make n false in
-  let rec dfs u =
-    let visit w =
-      if (not seen.(w)) && Iset.mem w inside then begin
-        seen.(w) <- true;
-        dfs w
-      end
-    in
-    List.iter visit (G.succ g u)
-  in
-  dfs v;
-  let acc = ref Iset.empty in
-  Array.iteri (fun u s -> if s then acc := Iset.add u !acc) seen;
-  !acc
-
-let ancestors_within g inside v =
-  let n = G.vertex_count g in
-  let seen = Array.make n false in
-  let rec dfs u =
-    let visit w =
-      if (not seen.(w)) && Iset.mem w inside then begin
-        seen.(w) <- true;
-        dfs w
-      end
-    in
-    List.iter visit (G.pred g u)
-  in
-  dfs v;
-  let acc = ref Iset.empty in
-  Array.iteri (fun u s -> if s then acc := Iset.add u !acc) seen;
-  !acc
-
 type choice = Smallest_id | Seeded of int
+
+(* The dependency graph compiled once per [compute]: ascending successor and
+   predecessor arrays, a topological order, and one stamp array shared by
+   every traversal (a vertex is marked iff its stamp is the current epoch,
+   so a traversal starts in O(1)). [slot] numbers an eviction cone's
+   vertices in its max-flow network. *)
+type graph = {
+  succ : int array array;
+  pred : int array array;
+  topo : int array;
+  indet : bool array;
+  stamp : int array;
+  mutable epoch : int;
+  slot : int array;
+}
+
+let compile assay =
+  let g = Assay.dependency_graph assay in
+  let n = G.vertex_count g in
+  {
+    succ = Array.init n (fun v -> Array.of_list (G.succ g v));
+    pred = Array.init n (fun v -> Array.of_list (G.pred g v));
+    topo = Array.of_list (Dag.topological_order g);
+    indet = Array.map Operation.is_indeterminate (Assay.operations assay);
+    stamp = Array.make n 0;
+    epoch = 0;
+    slot = Array.make n 0;
+  }
+
+let marked g v = g.stamp.(v) = g.epoch
+
+(* Marks and returns the [roots] and every vertex they reach along [next]
+   through vertices satisfying [inside]. *)
+let reach g next ~inside roots =
+  g.epoch <- g.epoch + 1;
+  let acc = ref [] in
+  let rec visit v =
+    g.stamp.(v) <- g.epoch;
+    acc := v :: !acc;
+    Array.iter (fun w -> if inside w && not (marked g w) then visit w) next.(v)
+  in
+  List.iter (fun r -> if not (marked g r) then visit r) roots;
+  !acc
 
 (* Phase 1 of Algorithm 1 (Fig. 4): keep every indeterminate operation that
    has no indeterminate ancestor in the working set, pushing its descendants
    to later layers; then keep all untouched operations. The paper picks the
    next eligible operation "randomly"; [choice] makes that pick either
-   deterministic (smallest id) or seeded pseudo-random. Returns
-   (kept, selected_indeterminates). *)
-let dependency_based_allocation g is_indet ~choice working =
-  let pushed = ref Iset.empty in
-  let selected = ref Iset.empty in
-  let pick_round = ref 0 in
-  let candidate () =
-    let in_graph v = Iset.mem v working && (not (Iset.mem v !pushed)) && not (Iset.mem v !selected) in
-    let viable v =
-      in_graph v && is_indet v
-      && begin
-        let anc = ancestors_within g (Iset.diff working !pushed) v in
-        not (Iset.exists (fun a -> is_indet a && not (Iset.mem a !selected)) anc)
-      end
+   deterministic (smallest id) or seeded pseudo-random. [work] is the working
+   set, ascending. Each round marks a vertex [blocked] when an unselected
+   indeterminate operation reaches it through unpushed working vertices, in
+   one forward pass in topological order. Fills [pushed] and [selected]. *)
+let dependency_based_allocation g ~choice ~work ~in_work pushed selected =
+  let blocked = Array.make (Array.length g.topo) false in
+  let live p = in_work p && not pushed.(p) in
+  let pick_round = ref 0 and count = ref 0 in
+  let rec loop () =
+    Array.iter
+      (fun v ->
+        if live v then
+          blocked.(v) <-
+            Array.exists
+              (fun p -> live p && ((g.indet.(p) && not selected.(p)) || blocked.(p)))
+              g.pred.(v))
+      g.topo;
+    let viable v = g.indet.(v) && (not pushed.(v)) && (not selected.(v)) && not blocked.(v) in
+    let select v =
+      selected.(v) <- true;
+      incr count;
+      let inside w = live w && not selected.(w) in
+      List.iter (fun u -> if u <> v then pushed.(u) <- true) (reach g g.succ ~inside [ v ]);
+      loop ()
     in
-    let eligible = List.filter viable (Iset.elements working) in
-    match (eligible, choice) with
-    | [], (Smallest_id | Seeded _) -> None
-    | v :: _, Smallest_id -> Some v
+    match (List.filter viable work, choice) with
+    | [], (Smallest_id | Seeded _) -> ()
+    | v :: _, Smallest_id -> select v
     | vs, Seeded seed ->
       incr pick_round;
       let h = ref (seed * 0x9E3779B1 + (!pick_round * 0x85EBCA77)) in
       h := !h lxor (!h lsr 13);
       h := !h * 0xC2B2AE35;
       h := !h lxor (!h lsr 16);
-      Some (List.nth vs (abs !h mod List.length vs))
-  in
-  let rec loop () =
-    match candidate () with
-    | None -> ()
-    | Some v ->
-      selected := Iset.add v !selected;
-      let inside = Iset.diff working (Iset.union !pushed !selected) in
-      pushed := Iset.union !pushed (descendants_within g inside v);
-      loop ()
+      select (List.nth vs (abs !h mod List.length vs))
   in
   loop ();
   Telemetry.count "layering.mis_rounds";
-  Telemetry.count ~by:(Iset.cardinal !selected) "layering.mis_selected";
-  (Iset.diff working !pushed, !selected)
+  Telemetry.count ~by:!count "layering.mis_selected"
 
 (* Eviction cost of indeterminate [v] from the layer [kept] (Fig. 5): a
    min-cut between a virtual source standing for the previous layers and
-   [v], over [v]'s ancestor subgraph inside the layer. Crossing edges are
+   [v], over [v]'s ancestor cone inside the layer. Crossing edges are
    reagents stored at the boundary; the nearest-sink cut moves the fewest
-   ancestors out. Returns (storage_cost, moved_set including v). *)
-let eviction_cut g kept v =
+   ancestors out. Returns (storage_cost, moved vertices including v). *)
+let eviction_cut g ~kept v =
   Telemetry.count "layering.min_cuts";
-  let anc = ancestors_within g kept v in
-  if Iset.is_empty anc then (0, Iset.singleton v)
-  else begin
-    let verts = Iset.elements anc in
-    let index = Hashtbl.create 16 in
-    List.iteri (fun i u -> Hashtbl.replace index u (i + 1)) verts;
-    let nverts = List.length verts in
-    let src = 0 and sink = nverts + 1 in
-    let net = Flow.create (nverts + 2) in
-    let idx u = if u = v then sink else Hashtbl.find index u in
+  (* the marked vertices are the cone and [v] itself *)
+  match List.filter (fun u -> u <> v) (reach g g.pred ~inside:kept [ v ]) with
+  | [] -> (0, [ v ])
+  | cone ->
+    let verts = List.sort compare cone in
+    List.iteri (fun i u -> g.slot.(u) <- i + 1) verts;
+    let src = 0 and sink = List.length verts + 1 in
+    let net = Flow.create (sink + 1) in
+    let idx u = if u = v then sink else g.slot.(u) in
     let add_dep_edges u =
-      let to_inside w =
-        if w = v || Iset.mem w anc then
-          Flow.add_edge net ~src:(idx u) ~dst:(idx w) ~cap:1
-      in
-      List.iter to_inside (G.succ g u)
+      Array.iter
+        (fun w -> if marked g w then Flow.add_edge net ~src:(idx u) ~dst:(idx w) ~cap:1)
+        g.succ.(u)
     in
-    Iset.iter add_dep_edges anc;
-    (* the virtual operation of Fig. 5(d) feeds the roots of the ancestor
-       subgraph (ancestors with no parent inside it) *)
+    List.iter add_dep_edges verts;
+    (* the virtual operation of Fig. 5(d) feeds the roots of the cone
+       (ancestors with no parent inside it) *)
     let feed_root u =
-      let has_inside_parent = List.exists (fun p -> Iset.mem p anc) (G.pred g u) in
-      if not has_inside_parent then Flow.add_edge net ~src ~dst:(idx u) ~cap:1
+      if not (Array.exists (marked g) g.pred.(u)) then
+        Flow.add_edge net ~src ~dst:(idx u) ~cap:1
     in
-    Iset.iter feed_root anc;
+    List.iter feed_root verts;
     let value, side = Flow.min_cut_nearest_sink net ~source:src ~sink in
-    let moved = ref (Iset.singleton v) in
-    List.iteri (fun i u -> if not side.(i + 1) then moved := Iset.add u !moved) verts;
-    (value, !moved)
-  end
+    (value, v :: List.filter (fun u -> not side.(g.slot.(u))) verts)
 
 (* Phase 2 of Algorithm 1: while the layer holds more indeterminate
    operations than the threshold, evict the cheapest one together with the
-   sink side of its cut, closed under in-layer descendants. *)
-let resource_based_allocation g is_indet threshold kept selected =
-  ignore is_indet;
-  let kept = ref kept and selected = ref selected in
-  (* Descendant closure inside the layer: nothing kept may depend on an
-     evicted operation. *)
-  let closure_of moved =
-    let closure = ref moved in
-    let grew = ref true in
-    while !grew do
-      grew := false;
-      let expand u =
-        let inside = Iset.remove u !kept in
-        let desc = descendants_within g inside u in
-        let fresh = Iset.diff desc !closure in
-        if not (Iset.is_empty fresh) then begin
-          closure := Iset.union !closure fresh;
-          grew := true
-        end
-      in
-      Iset.iter expand !closure
-    done;
-    !closure
-  in
-  let stop = ref false in
-  while (not !stop) && Iset.cardinal !selected > threshold do
+   sink side of its cut, closed under in-layer descendants so that nothing
+   kept depends on an evicted operation. Evicted vertices join [pushed];
+   returns the remaining [selected], ascending. *)
+let resource_based_allocation g threshold ~kept pushed selected =
+  let selected = ref selected and stop = ref false in
+  while (not !stop) && List.length !selected > threshold do
+    (* an eviction whose cascade would wipe out every indeterminate
+       operation of the layer is rejected: each non-final layer must keep
+       one for the cyber-physical boundary *)
     let cost v =
-      let c, moved = eviction_cut g !kept v in
-      let closure = closure_of moved in
-      (c, Iset.cardinal closure - 1, v, closure)
+      let c, moved = eviction_cut g ~kept v in
+      let closure = reach g g.succ ~inside:kept moved in
+      if List.for_all (marked g) !selected then None
+      else Some (c, List.length closure - 1, v, closure)
     in
-    let candidates =
-      (* an eviction whose cascade would wipe out every indeterminate
-         operation of the layer is rejected: each non-final layer must keep
-         one for the cyber-physical boundary *)
-      List.filter
-        (fun (_, _, _, closure) -> not (Iset.subset !selected closure))
-        (List.map cost (Iset.elements !selected))
+    let better best v =
+      match (best, cost v) with
+      | Some (c0, m0, v0, _), Some (c, m, v, _) when (c0, m0, v0) <= (c, m, v) -> best
+      | best, None -> best
+      | _, cand -> cand
     in
-    let best =
-      List.fold_left
-        (fun acc cand ->
-          match acc with
-          | None -> Some cand
-          | Some (c0, m0, v0, _) ->
-            let c, m, v, _ = cand in
-            if (c, m, v) < (c0, m0, v0) then Some cand else acc)
-        None candidates
-    in
-    match best with
+    match List.fold_left better None !selected with
     | None -> stop := true
     | Some (c, _, _, closure) ->
       Telemetry.count "layering.evictions";
       Telemetry.observe "layering.eviction_storage_cost" (float_of_int c);
-      kept := Iset.diff !kept closure;
-      selected := Iset.diff !selected closure
+      List.iter (fun u -> pushed.(u) <- true) closure;
+      selected := List.filter (fun s -> not pushed.(s)) !selected
   done;
-  (!kept, !selected)
+  !selected
 
 let compute ?(threshold = 10) ?(choice = Smallest_id) assay =
   if threshold < 1 then invalid_arg "Layering.compute: threshold must be >= 1";
@@ -208,36 +178,32 @@ let compute ?(threshold = 10) ?(choice = Smallest_id) assay =
    | Error msg -> invalid_arg ("Layering.compute: " ^ msg));
   Telemetry.span "layering.compute" ~attrs:[ ("assay", Assay.name assay) ]
   @@ fun () ->
-  let g = Assay.dependency_graph assay in
-  let ops = Assay.operations assay in
-  let n = Array.length ops in
-  let is_indet v = Operation.is_indeterminate ops.(v) in
-  let remaining = ref (Iset.of_list (List.init n Fun.id)) in
-  let layers = ref [] in
+  let g = compile assay in
+  let n = Array.length g.topo in
   let layer_of_op = Array.make n (-1) in
-  let index = ref 0 in
-  while not (Iset.is_empty !remaining) do
-    let kept, selected = dependency_based_allocation g is_indet ~choice !remaining in
-    let kept, selected = resource_based_allocation g is_indet threshold kept selected in
-    assert (not (Iset.is_empty kept));
-    Iset.iter (fun v -> layer_of_op.(v) <- !index) kept;
-    remaining := Iset.diff !remaining kept;
-    let stored =
-      let crossing u acc =
-        List.fold_left
-          (fun acc w -> if Iset.mem w !remaining then (u, w) :: acc else acc)
-          acc (G.succ g u)
-      in
-      List.sort compare (Iset.fold crossing kept [])
+  let in_work v = layer_of_op.(v) < 0 in
+  let layers = ref [] and index = ref 0 in
+  while Array.exists (fun l -> l < 0) layer_of_op do
+    let work = List.filter in_work (List.init n Fun.id) in
+    let pushed = Array.make n false and selected = Array.make n false in
+    dependency_based_allocation g ~choice ~work ~in_work pushed selected;
+    let kept v = in_work v && not pushed.(v) in
+    let indeterminate =
+      resource_based_allocation g threshold ~kept pushed
+        (List.filter (fun v -> selected.(v)) work)
     in
-    layers :=
-      {
-        index = !index;
-        ops = Iset.elements kept;
-        indeterminate = Iset.elements selected;
-        stored_transfers = stored;
-      }
-      :: !layers;
+    let ops = List.filter kept work in
+    assert (ops <> []);
+    List.iter (fun v -> layer_of_op.(v) <- !index) ops;
+    let stored_transfers =
+      List.concat_map
+        (fun u ->
+          List.filter_map
+            (fun w -> if in_work w then Some (u, w) else None)
+            (Array.to_list g.succ.(u)))
+        ops
+    in
+    layers := { index = !index; ops; indeterminate; stored_transfers } :: !layers;
     incr index
   done;
   Telemetry.count ~by:!index "layering.layers";

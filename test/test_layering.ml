@@ -229,6 +229,92 @@ let prop_deterministic =
         (fun (a : L.layer) (b : L.layer) -> a.L.ops = b.L.ops)
         l1.L.layers l2.L.layers)
 
+(* ---------- differential against the set-based oracle ---------- *)
+
+let same_layering (a : L.t) (b : L.t) =
+  let key (l : L.layer) = (l.L.ops, l.L.indeterminate, l.L.stored_transfers) in
+  Array.map key a.L.layers = Array.map key b.L.layers
+  && a.L.layer_of_op = b.L.layer_of_op
+
+let arb_differential =
+  QCheck.make
+    QCheck.Gen.(
+      quad (int_range 1 99999) (int_range 8 60) (oneofl [ 0.2; 0.5 ])
+        (pair (oneofl [ 1; 2; 3; 10 ])
+           (oneof [ return L.Smallest_id; map (fun s -> L.Seeded s) (int_range 0 999) ])))
+    ~print:(fun (seed, n, f, (t, c)) ->
+      Printf.sprintf "seed=%d n=%d indet=%.1f threshold=%d choice=%s" seed n f t
+        (match c with L.Smallest_id -> "Smallest_id" | L.Seeded s -> Printf.sprintf "Seeded %d" s))
+
+let prop_matches_oracle =
+  QCheck.Test.make ~name:"compute matches the set-based oracle" ~count:400
+    arb_differential (fun (seed, n, indet_frac, (threshold, choice)) ->
+      let a =
+        Assays.Random_assay.generate ~seed
+          { Assays.Random_assay.default_params with
+            Assays.Random_assay.op_count = n;
+            indeterminate_fraction = indet_frac }
+      in
+      same_layering
+        (L.compute ~threshold ~choice a)
+        (Layering_oracle.compute ~threshold ~choice a))
+
+(* Replicated protocols are the paper's scaling method; thresholds below the
+   replica count force long eviction cascades. *)
+let test_replicated_match_oracle () =
+  List.iter
+    (fun (name, a) ->
+      List.iter
+        (fun (threshold, choice) ->
+          check bool
+            (Printf.sprintf "%s threshold %d" name threshold)
+            true
+            (same_layering
+               (L.compute ~threshold ~choice a)
+               (Layering_oracle.compute ~threshold ~choice a)))
+        [ (1, L.Smallest_id); (3, L.Seeded 7); (10, L.Smallest_id); (10, L.Seeded 123) ])
+    [
+      ("gene expression x4", Assay.replicate (Assays.Gene_expression.base ()) ~copies:4);
+      ("rt-qpcr x6", Assay.replicate (Assays.Rt_qpcr.base ()) ~copies:6);
+      ("kinase x3", Assay.replicate (Assays.Kinase.testcase ()) ~copies:3);
+    ]
+
+(* Layer count, storage units and an MD5 of the layer op lists of the
+   heuristic-scale assays (replicated gene expression and RT-qPCR, 60 to
+   1,120 ops) at the default threshold, pinned from the set-based
+   implementation. *)
+let scale_golden =
+  [
+    ("gene_expression", 10, 2, 10, "e069ad39a159bca9adf4cabb5c7f1fb3");
+    ("gene_expression", 20, 3, 20, "dfa835630905941d80aebd09793155c4");
+    ("gene_expression", 40, 5, 40, "142c7ff97e4050d16cbf0a1f4c4ff003");
+    ("gene_expression", 80, 9, 80, "efaf7b4f7f9515c92bb9f2c635c42e61");
+    ("gene_expression", 160, 17, 160, "f7d9db222d35cfa727b54dea1f78e8f1");
+    ("rt_qpcr", 10, 2, 10, "af1e66d2c14ee1835b3753f8f8691c0b");
+    ("rt_qpcr", 20, 3, 20, "8a33f784fc88226b4bc0cfde3cd086fa");
+    ("rt_qpcr", 50, 6, 50, "1717ff47ce30621b399ee7114aaa2f22");
+    ("rt_qpcr", 100, 11, 100, "a4196a8e1aee6827f31841008ceb2ea4");
+  ]
+
+let ops_digest (l : L.t) =
+  Array.to_list l.L.layers
+  |> List.map (fun (ly : L.layer) -> String.concat "," (List.map string_of_int ly.L.ops))
+  |> String.concat ";" |> Digest.string |> Digest.to_hex
+
+let test_scale_golden () =
+  List.iter
+    (fun (name, copies, layers, storage, digest) ->
+      let base =
+        if name = "gene_expression" then Assays.Gene_expression.base ()
+        else Assays.Rt_qpcr.base ()
+      in
+      let l = L.compute (Assay.replicate base ~copies) in
+      let what = Printf.sprintf "%s x%d" name copies in
+      check int_t (what ^ " layers") layers (L.layer_count l);
+      check int_t (what ^ " storage units") storage (L.storage_units l);
+      check Alcotest.string (what ^ " op digest") digest (ops_digest l))
+    scale_golden
+
 let () =
   let qsuite tests = List.map QCheck_alcotest.to_alcotest tests in
   Alcotest.run "layering"
@@ -258,6 +344,13 @@ let () =
           Alcotest.test_case "case 3: 3 layers" `Quick test_case3_structure;
           Alcotest.test_case "threshold sweep" `Quick test_threshold_sweep_case3;
         ] );
+      ( "differential",
+        [
+          Alcotest.test_case "replicated assays match the oracle" `Quick
+            test_replicated_match_oracle;
+          Alcotest.test_case "heuristic-scale golden layerings" `Quick
+            test_scale_golden;
+        ] );
       ( "props",
         qsuite
           [
@@ -265,5 +358,6 @@ let () =
             prop_layering_partitions;
             prop_indet_descendants_later;
             prop_deterministic;
+            prop_matches_oracle;
           ] );
     ]
