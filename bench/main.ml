@@ -568,6 +568,18 @@ let maxflow_grid () =
   done;
   ignore (Flowgraph.Maxflow.max_flow net ~source:0 ~sink:(side * side - 1))
 
+(* A fixed fold of exact-rational add/mul/compare over small operands, the
+   shape of presolve's activity and bound passes. *)
+let rat_fold () =
+  let module Q = Numeric.Rat in
+  let acc = ref Q.zero and best = ref Q.zero in
+  for i = 1 to 64 do
+    let a = Q.of_ints ((i * 7) - 200) ((i mod 5) + 1) in
+    acc := Q.add !acc (Q.mul a (Q.of_ints 3 ((i mod 4) + 2)));
+    if Q.compare !acc !best > 0 then best := !acc
+  done;
+  ignore !best
+
 let micro () =
   section "Bechamel micro-benchmarks of the computational kernels";
   let open Bechamel in
@@ -590,6 +602,7 @@ let micro () =
         (stagef (fun () ->
              let a = Numeric.Bigint.pow (Numeric.Bigint.of_int 12345) 64 in
              ignore (Numeric.Bigint.mul a a)));
+      Test.make ~name:"rat/small-fold-64" (stagef rat_fold);
     ]
   in
   let ols =

@@ -43,6 +43,12 @@
      deterministic and runs before any solver, so these counts depend only
      on the code: a change in either direction is a behaviour change, not
      noise;
+   - presolve and model-build work counts: `lp.presolve.runs`, `rounds`,
+     `tightenings`, `rows_removed`, `singleton_rows`, `coeffs_tightened`,
+     `cols_fixed` and `ilp.model.vars`, `constrs`, `binds_pruned` must equal
+     the baseline's exactly. Model build and presolve run in exact
+     arithmetic and are deterministic, so a change in either direction is a
+     behaviour change, not noise;
    - node throughput: the mean of the `lp.bb.nodes_per_sec` histogram must
      be at least 1/4 of the baseline's. This is the one machine-dependent
      check, hence the wide 4x tolerance: CI machines are slower than dev
@@ -245,6 +251,20 @@ let layering_counters =
     "layering.mis_selected";
   ]
 
+let presolve_model_counters =
+  [
+    "lp.presolve.runs";
+    "lp.presolve.rounds";
+    "lp.presolve.tightenings";
+    "lp.presolve.rows_removed";
+    "lp.presolve.singleton_rows";
+    "lp.presolve.coeffs_tightened";
+    "lp.presolve.cols_fixed";
+    "ilp.model.vars";
+    "ilp.model.constrs";
+    "ilp.model.binds_pruned";
+  ]
+
 (* ------------------------------------------------------- --same mode *)
 
 (* Deep structural diff of the solver-result sections, with timing fields
@@ -386,12 +406,12 @@ let () =
       "lp.simplex.bound_flips";
       "lp.simplex.refactorisations";
     ];
-  (* Exact layering work counts; see header. *)
+  (* Exact layering, presolve and model-build work counts; see header. *)
   List.iter
     (fun name ->
       let b = counter baseline name and c = counter current name in
       check (c = b) "%s %d = baseline %d" name c b)
-    layering_counters;
+    (layering_counters @ presolve_model_counters);
   (* Warm-start health: rate is machine-independent; see header. *)
   let rate doc =
     let h = counter doc "lp.bb.warm_hits" in

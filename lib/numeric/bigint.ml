@@ -320,6 +320,14 @@ let to_int_exn x =
   | Some n -> n
   | None -> failwith "Bigint.to_int_exn: out of range"
 
+let bit_length x =
+  let n = Array.length x.mag in
+  if n = 0 then 0
+  else begin
+    let rec bits d acc = if d = 0 then acc else bits (d lsr 1) (acc + 1) in
+    ((n - 1) * base_bits) + bits x.mag.(n - 1) 0
+  end
+
 let to_float x =
   let f = ref 0.0 in
   for i = Array.length x.mag - 1 downto 0 do

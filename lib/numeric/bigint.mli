@@ -59,6 +59,9 @@ val add_int : t -> int -> t
 val pow : t -> int -> t
 (** [pow b e] for [e >= 0]. @raise Invalid_argument on negative exponent. *)
 
+val bit_length : t -> int
+(** Number of bits of [|x|]; [0] for zero. *)
+
 val to_float : t -> float
 (** Best-effort conversion; may lose precision or overflow to infinity. *)
 

@@ -1,8 +1,14 @@
-(** Exact rational numbers over {!Bigint}.
+(** Exact rational numbers.
 
     Values are kept normalised: the denominator is strictly positive and
     coprime with the numerator; zero is [0/1]. Total ordering is the usual
-    order on ℚ. *)
+    order on ℚ.
+
+    A value whose numerator and denominator are both below 2^30 in
+    magnitude is stored as two native ints, and its arithmetic runs on
+    native ints that cannot overflow; every other value is a {!Bigint}
+    pair. Each value has exactly one form, and no result (value, float
+    conversion or string) depends on which form an operand was in. *)
 
 type t
 
@@ -49,6 +55,10 @@ val ceil : t -> Bigint.t
 val is_integer : t -> bool
 
 val to_float : t -> float
+(** Quotient of the parts converted to floats. Parts too large for a float
+    are first shifted right by a common bit count, so the result is never
+    NaN. *)
+
 val of_float_approx : float -> t
 (** Dyadic approximation of a finite float (exact for IEEE doubles).
     @raise Invalid_argument on NaN or infinities. *)

@@ -242,6 +242,170 @@ let prop_rat_total_order =
     QCheck.(pair arb_rat arb_rat)
     (fun (a, b) -> compare (Q.compare a b) 0 = compare 0 (Q.compare b a))
 
+(* ---------- Rat against the bignum-only oracle ---------- *)
+
+module O = Rat_oracle
+
+(* Components that straddle the native/bignum boundary at 2^30: both sides
+   of ±2^30, ±2^31 and 2^40, operands whose cross products come near 2^60,
+   full-width ints and powers well past 63 bits. *)
+let gen_component =
+  let p k = 1 lsl k in
+  let edges =
+    [ 1; 2; 3; p 29; p 30 - 1; p 30; p 30 + 1; p 31 - 1; p 31; p 31 + 1; p 40; 3 * p 40;
+      p 60 / 3; p 61 ]
+  in
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map B.of_int (int_range (-1000) 1000));
+        (4, map2 (fun e s -> B.of_int (if s then e else -e)) (oneofl edges) bool);
+        (2, map2 (fun e k -> B.of_int (e + k)) (oneofl edges) (int_range (-3) 3));
+        (2, map B.of_int int);
+        (1, map2 (fun b e -> B.pow (B.of_int b) e) (int_range (-40) 40) (0 -- 30));
+      ])
+
+(* A rational drawn as an unreduced fraction, built in both implementations. *)
+let arb_pair =
+  QCheck.make
+    ~print:(fun (_, o) -> O.to_string o)
+    (QCheck.Gen.map2
+       (fun n d ->
+         let d = if B.is_zero d then B.one else d in
+         (Q.make n d, O.make n d))
+       gen_component gen_component)
+
+(* Both raise [Division_by_zero], or both return the same string. *)
+let agrees q o =
+  match q () with
+  | x -> ( match o () with y -> String.equal x y | exception Division_by_zero -> false)
+  | exception Division_by_zero -> (
+    match o () with _ -> false | exception Division_by_zero -> true)
+
+let prop_oracle_binop (name, qf, of_) =
+  QCheck.Test.make ~name:("rat " ^ name ^ " matches oracle") ~count:1000
+    QCheck.(pair arb_pair arb_pair)
+    (fun ((qa, oa), (qb, ob)) ->
+      agrees (fun () -> qs (qf qa qb)) (fun () -> O.to_string (of_ oa ob)))
+
+let prop_oracle_unop name (qf, of_) =
+  QCheck.Test.make ~name:("rat " ^ name ^ " matches oracle") ~count:1000 arb_pair
+    (fun (qa, oa) -> agrees (fun () -> qf qa) (fun () -> of_ oa))
+
+let oracle_binops =
+  List.map prop_oracle_binop
+    [
+      ("add", Q.add, O.add);
+      ("sub", Q.sub, O.sub);
+      ("mul", Q.mul, O.mul);
+      ("div", Q.div, O.div);
+      ("min", Q.min, O.min);
+      ("max", Q.max, O.max);
+    ]
+
+let oracle_unops =
+  let rat q o = ((fun a -> qs (q a)), fun a -> O.to_string (o a)) in
+  let via show q o = ((fun a -> show (q a)), fun a -> show (o a)) in
+  let bits x = Int64.to_string (Int64.bits_of_float x) in
+  [
+    prop_oracle_unop "inv" (rat Q.inv O.inv);
+    prop_oracle_unop "neg" (rat Q.neg O.neg);
+    prop_oracle_unop "abs" (rat Q.abs O.abs);
+    prop_oracle_unop "floor" (via bs Q.floor O.floor);
+    prop_oracle_unop "ceil" (via bs Q.ceil O.ceil);
+    prop_oracle_unop "num" (via bs Q.num O.num);
+    prop_oracle_unop "den" (via bs Q.den O.den);
+    prop_oracle_unop "sign" (via string_of_int Q.sign O.sign);
+    prop_oracle_unop "is_integer" (via string_of_bool Q.is_integer O.is_integer);
+    prop_oracle_unop "is_zero" (via string_of_bool Q.is_zero O.is_zero);
+    prop_oracle_unop "to_float bits" (via bits Q.to_float O.to_float);
+  ]
+
+let prop_oracle_compare =
+  QCheck.Test.make ~name:"rat compare and equal match oracle" ~count:1000
+    QCheck.(pair arb_pair arb_pair)
+    (fun ((qa, oa), (qb, ob)) ->
+      Int.compare (Q.compare qa qb) 0 = Int.compare (O.compare oa ob) 0
+      && Bool.equal (Q.equal qa qb) (O.equal oa ob))
+
+let gen_int_component =
+  QCheck.Gen.(
+    oneof
+      [
+        int_range (-1000) 1000;
+        oneofl [ 0; 1; -1; (1 lsl 30) - 1; 1 lsl 30; -(1 lsl 30); 1 lsl 31 ];
+        oneofl [ max_int; min_int ];
+        int;
+      ])
+
+let prop_oracle_of_ints =
+  QCheck.Test.make ~name:"rat of_ints matches oracle" ~count:1000
+    (QCheck.make
+       ~print:(fun (n, d) -> Printf.sprintf "%d/%d" n d)
+       QCheck.Gen.(pair gen_int_component gen_int_component))
+    (fun (n, d) ->
+      agrees (fun () -> qs (Q.of_ints n d)) (fun () -> O.to_string (O.of_ints n d))
+      && qs (Q.of_int n) = O.to_string (O.of_int n))
+
+let prop_oracle_of_float =
+  let gen =
+    QCheck.Gen.(
+      oneof
+        [
+          float;
+          map float_of_int (int_range (-2000) 2000);
+          map2 (fun e k -> ldexp 1.0 e +. float_of_int k) (28 -- 33) (int_range (-2) 2);
+          map2 (fun m e -> ldexp m e) (float_range (-1.0) 1.0) (int_range (-80) 80);
+          oneofl [ 0.0; -0.0; 0.1; -0.5; 1e-300; 5e-324; 1e300 ];
+        ])
+  in
+  QCheck.Test.make ~name:"rat of_float_approx matches oracle" ~count:1000
+    (QCheck.make ~print:(Printf.sprintf "%h") gen)
+    (fun f ->
+      QCheck.assume (Float.is_finite f);
+      qs (Q.of_float_approx f) = O.to_string (O.of_float_approx f))
+
+(* Canonical form: a value that fits the native form is never kept as a
+   bignum pair, so [equal] (and structural equality) agree with [compare]. *)
+let prop_canonical =
+  QCheck.Test.make ~name:"rat equal iff compare = 0" ~count:1000
+    (QCheck.make
+       ~print:(fun (n, d, k) -> String.concat " " [ bs n; bs d; bs k ])
+       QCheck.Gen.(triple gen_component gen_component gen_component))
+    (fun (n, d, k) ->
+      QCheck.assume (not (B.is_zero d || B.is_zero k));
+      let x = Q.make n d and y = Q.make (B.mul n k) (B.mul d k) in
+      let w = Q.div (Q.of_bigint n) (Q.of_bigint d) and z = Q.make d k in
+      Q.equal x y && x = y && Q.compare x y = 0 && Q.equal x w
+      && Bool.equal (Q.equal x z) (Q.compare x z = 0))
+
+let test_rat_canonical () =
+  let p40 = B.pow B.two 40 in
+  let one' = Q.make p40 p40 in
+  check bool "2^40/2^40 equal one" true (Q.equal one' Q.one);
+  check bool "2^40/2^40 = one structurally" true (one' = Q.one);
+  check int_t "2^40/2^40 compare one" 0 (Q.compare one' Q.one);
+  let three = Q.make (B.mul_int p40 3) p40 in
+  check bool "3*2^40/2^40 equal 3" true (Q.equal three (Q.of_int 3));
+  check bool "of_bigint 2^40 / 2^40 equal one" true
+    (Q.equal (Q.div (Q.of_bigint p40) (Q.of_bigint p40)) Q.one);
+  let big = Q.of_int (1 lsl 30) in
+  check bool "2^30 - 1 equal 2^30 - 1" true
+    (Q.equal (Q.sub big Q.one) (Q.of_int ((1 lsl 30) - 1)));
+  check str "2^30 * 2^30" (bs (B.pow B.two 60)) (qs (Q.mul big big))
+
+(* Both parts convert to infinity: the quotient was NaN before the common
+   shift. *)
+let test_rat_to_float_huge () =
+  let p1099 = B.pow B.two 1099 in
+  let x = Q.to_float (Q.make (B.mul_int p1099 2) (B.add p1099 B.one)) in
+  check bool "2^1100/(2^1099+1) ~ 2" true (Float.abs (x -. 2.0) < 1e-12);
+  let p1100 = B.pow B.two 1100 in
+  let y = Q.to_float (Q.make (B.neg (B.add p1100 B.one)) (B.pow B.two 1098)) in
+  check bool "-(2^1100+1)/2^1098 ~ -4" true (Float.abs (y +. 4.0) < 1e-12);
+  let z = Q.to_float (Q.make p1100 (B.of_int 3)) in
+  check bool "2^1100/3 is infinite" true (z = Float.infinity)
+
 let () =
   let qsuite tests = List.map QCheck_alcotest.to_alcotest tests in
   Alcotest.run "numeric"
@@ -280,6 +444,8 @@ let () =
           Alcotest.test_case "floor/ceil" `Quick test_rat_floor_ceil;
           Alcotest.test_case "compare" `Quick test_rat_compare;
           Alcotest.test_case "of_float" `Quick test_rat_of_float;
+          Alcotest.test_case "canonical form" `Quick test_rat_canonical;
+          Alcotest.test_case "to_float of huge parts" `Quick test_rat_to_float_huge;
         ] );
       ( "rat-props",
         qsuite
@@ -290,4 +456,13 @@ let () =
             prop_rat_floor_bounds;
             prop_rat_total_order;
           ] );
+      ( "rat-oracle",
+        qsuite
+          (oracle_binops @ oracle_unops
+          @ [
+              prop_oracle_compare;
+              prop_oracle_of_ints;
+              prop_oracle_of_float;
+              prop_canonical;
+            ]) );
     ]
