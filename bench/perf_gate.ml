@@ -66,126 +66,11 @@
    runs the bench at --ilp-domains 1 and 4 and requires identical results.
 
    The baseline is regenerated with:
-     dune exec bench/main.exe -- table2 --json bench/baseline.json
+     dune exec bench/main.exe -- table2 --json bench/baseline.json --ilp-domains 1
+   (the one-domain run the CI gate compares against: `lp.bb.nodes_per_sec`
+   depends on the domain count, and the default count on the machine). *)
 
-   Telemetry.Json is a serialiser only, so this file carries its own
-   minimal JSON reader (objects, arrays, strings, numbers, true/false/null;
-   enough for the bench artifact — not a general-purpose parser). *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-exception Parse_error of string
-
-let parse (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then s.[!pos] else '\255' in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with ' ' | '\t' | '\n' | '\r' -> advance (); skip_ws () | _ -> ()
-  in
-  let expect c =
-    if peek () = c then advance () else fail (Printf.sprintf "expected '%c'" c)
-  in
-  let literal word value =
-    String.iter expect word;
-    value
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | '"' -> advance (); Buffer.contents buf
-      | '\\' ->
-        advance ();
-        (match peek () with
-         | '"' -> Buffer.add_char buf '"'
-         | '\\' -> Buffer.add_char buf '\\'
-         | '/' -> Buffer.add_char buf '/'
-         | 'n' -> Buffer.add_char buf '\n'
-         | 't' -> Buffer.add_char buf '\t'
-         | 'r' -> Buffer.add_char buf '\r'
-         | 'b' -> Buffer.add_char buf '\b'
-         | 'f' -> Buffer.add_char buf '\012'
-         | 'u' ->
-           (* artifact strings are ASCII; decode the escape to '?' rather
-              than carrying a UTF-16 decoder *)
-           for _ = 1 to 4 do advance () done;
-           Buffer.add_char buf '?'
-         | _ -> fail "bad escape");
-        advance ();
-        go ()
-      | '\255' -> fail "unterminated string"
-      | c -> Buffer.add_char buf c; advance (); go ()
-    in
-    go ()
-  in
-  let parse_number () =
-    let start = !pos in
-    let numchar c =
-      (c >= '0' && c <= '9') || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-    in
-    while numchar (peek ()) do advance () done;
-    if !pos = start then fail "expected number";
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "malformed number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = '}' then (advance (); Obj [])
-      else begin
-        let rec members acc =
-          skip_ws ();
-          let key = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | ',' -> advance (); members ((key, v) :: acc)
-          | '}' -> advance (); Obj (List.rev ((key, v) :: acc))
-          | _ -> fail "expected ',' or '}'"
-        in
-        members []
-      end
-    | '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = ']' then (advance (); Arr [])
-      else begin
-        let rec elements acc =
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | ',' -> advance (); elements (v :: acc)
-          | ']' -> advance (); Arr (List.rev (v :: acc))
-          | _ -> fail "expected ',' or ']'"
-        in
-        elements []
-      end
-    | '"' -> Str (parse_string ())
-    | 't' -> literal "true" (Bool true)
-    | 'f' -> literal "false" (Bool false)
-    | 'n' -> literal "null" Null
-    | _ -> Num (parse_number ())
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
+open Telemetry.Json
 
 (* ------------------------------------------------- artifact accessors *)
 
@@ -193,10 +78,10 @@ let member key = function
   | Obj fields -> (try List.assoc key fields with Not_found -> Null)
   | _ -> Null
 
-let as_int = function Num f -> int_of_float f | _ -> 0
-let as_float = function Num f -> f | _ -> 0.0
-let as_str = function Str s -> s | _ -> ""
-let as_list = function Arr l -> l | _ -> []
+let as_int = function Int i -> i | Float f -> int_of_float f | _ -> 0
+let as_float = function Float f -> f | Int i -> float_of_int i | _ -> 0.0
+let as_str = function String s -> s | _ -> ""
+let as_list = function List l -> l | _ -> []
 
 let cases doc =
   List.map (fun c -> (as_str (member "label" c), c)) (as_list (member "cases" doc))
@@ -222,9 +107,9 @@ let load path =
   let len = in_channel_length ic in
   let content = really_input_string ic len in
   close_in ic;
-  match parse content with
-  | v -> v
-  | exception Parse_error msg ->
+  match of_string content with
+  | Ok v -> v
+  | Error msg ->
     Printf.eprintf "perf_gate: %s: %s\n" path msg;
     exit 2
 
@@ -285,7 +170,7 @@ let rec diff_json path a b diffs =
         else
           diff_json (path ^ "." ^ k) (member k (Obj fa)) (member k (Obj fb)) acc)
       diffs keys
-  | Arr xa, Arr xb when List.length xa = List.length xb ->
+  | List xa, List xb when List.length xa = List.length xb ->
     let rec go i xs ys acc =
       match (xs, ys) with
       | x :: xs', y :: ys' ->
@@ -293,7 +178,7 @@ let rec diff_json path a b diffs =
       | _, _ -> acc
     in
     go 0 xa xb diffs
-  | Arr xa, Arr xb ->
+  | List xa, List xb ->
     (Printf.sprintf "%s: array length %d vs %d" path (List.length xa)
        (List.length xb))
     :: diffs
@@ -301,9 +186,10 @@ let rec diff_json path a b diffs =
     let rec show = function
       | Null -> "null"
       | Bool b -> string_of_bool b
-      | Num f -> Printf.sprintf "%g" f
-      | Str s -> Printf.sprintf "%S" s
-      | Arr l -> Printf.sprintf "[%s]" (String.concat "," (List.map show l))
+      | Int i -> string_of_int i
+      | Float f -> Printf.sprintf "%g" f
+      | String s -> Printf.sprintf "%S" s
+      | List l -> Printf.sprintf "[%s]" (String.concat "," (List.map show l))
       | Obj _ -> "{...}"
     in
     if a = b then diffs else Printf.sprintf "%s: %s vs %s" path (show a) (show b) :: diffs

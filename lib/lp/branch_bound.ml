@@ -279,7 +279,7 @@ let process sh wid relax_ema nd =
            else (0.8 *. !relax_ema) +. (0.2 *. dt));
         outcome
       with
-      | exception Tableau.Deadline_exceeded ->
+      | exception Tableau_float.Deadline_exceeded ->
         (* one relaxation outlived the whole time budget: abandon the search
            but keep any incumbent (e.g. the warm start) *)
         Atomic.set sh.proven false;
@@ -402,7 +402,7 @@ let solve_deterministic sh ndomains root =
       Simplex.solve_relaxation_float ?deadline:sh.deadline
         ~bounds:nd.nd_bounds ~basis:nd.nd_basis sh.model
     with
-    | exception Tableau.Deadline_exceeded -> W_abort
+    | exception Tableau_float.Deadline_exceeded -> W_abort
     | Simplex.Infeasible -> W_infeasible
     | Simplex.Unbounded -> W_unbounded
     | Simplex.Optimal { objective; values } ->
@@ -529,7 +529,7 @@ let extract_solution sh root_bounds w =
       Simplex.solve_relaxation_float ?deadline:sh.deadline ~bounds ~basis
         sh.model
     with
-    | exception Tableau.Deadline_exceeded -> raise Exit
+    | exception Tableau_float.Deadline_exceeded -> raise Exit
     | Simplex.Infeasible | Simplex.Unbounded -> ()
     | Simplex.Optimal { objective; values } ->
       let internal = sh.dir_sign *. objective in

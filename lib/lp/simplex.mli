@@ -1,10 +1,11 @@
 (** LP-relaxation solver front-end.
 
     Converts a {!Model} (arbitrary bounds, [<=]/[>=]/[=] rows, min or max
-    objective) into the bounded standard form expected by the kernels —
-    shifting lower-bounded variables, flipping upper-bounded ones, splitting
-    free ones, turning double bounds into column spans and adding
-    slack/surplus columns — and maps the solution back to model variables.
+    objective) into the bounded standard form of the kernel
+    {!Tableau_float} — shifting lower-bounded variables, flipping
+    upper-bounded ones, splitting free ones, turning double bounds into
+    column spans and adding slack/surplus columns — and maps the solution
+    back to model variables.
     Integrality is ignored here; {!Branch_bound} adds it.
 
     For branch-and-bound the translation is compiled once and reused across
@@ -14,8 +15,8 @@
     ({!Tableau_float.resolve_with_basis}) instead of a cold two-phase
     solve. *)
 
-type 'num outcome =
-  | Optimal of { objective : 'num; values : 'num array }
+type outcome =
+  | Optimal of { objective : float; values : float array }
       (** [values] is indexed by model variable id; [objective] is the
           model's natural objective value (not sign-normalised). *)
   | Infeasible
@@ -39,9 +40,9 @@ val copy_basis : basis -> basis
     branch-and-bound. The prepared form and the snapshot inside are shared,
     and so is the snapshot's write-once factor cell: the first of two
     sibling re-solves refactorises the parent's basis, the second installs
-    that factor (see {!Tableau.snapshot}). Only the cell itself is fresh. *)
+    that factor (see {!Tableau_float.snapshot}). Only the cell itself is fresh. *)
 
-val stored_factor : basis -> Tableau.factor option
+val stored_factor : basis -> Tableau_float.factor option
 (** The factor a warm re-solve from this cell's snapshot has published, if
     any. For tests: a published factor is never written to again. *)
 
@@ -51,22 +52,13 @@ val solve_relaxation_float :
   ?bounds:(Numeric.Rat.t option * Numeric.Rat.t option) array ->
   ?basis:basis ->
   Model.t ->
-  float outcome
-(** Floating-point simplex; fast, tolerance [1e-9]. [deadline] is an
+  outcome
+(** Floating-point simplex, tolerance [1e-9]. [deadline] is an
     absolute {!Telemetry.Clock} time; when it passes mid-solve
-    {!Tableau.Deadline_exceeded} is raised. [bounds], when given, overrides
+    {!Tableau_float.Deadline_exceeded} is raised. [bounds], when given, overrides
     every variable's bounds (indexed by model variable id; length must be
     [Model.var_count]) without touching the model — the bound-overlay used
     by the multi-domain branch-and-bound, whose nodes must not mutate the
     shared model. [basis] enables dual-simplex warm starts as described on
     {!basis}; warm outcomes are counted under [lp.bb.warm_hits] /
     [lp.bb.warm_fallbacks]. *)
-
-val solve_relaxation_exact :
-  ?max_iters:int ->
-  ?deadline:float ->
-  ?bounds:(Numeric.Rat.t option * Numeric.Rat.t option) array ->
-  Model.t ->
-  Numeric.Rat.t outcome
-(** Exact rational simplex; bit-exact but slower. Intended for small models
-    and for verifying candidate optima in tests. *)

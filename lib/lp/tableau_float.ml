@@ -1,34 +1,81 @@
-(* Float bounded-variable simplex kernel: the one {!Simplex.Float_driver}
-   runs on every LP relaxation.
+(* Sparse revised two-phase bounded-variable simplex on [float]: the one
+   kernel {!Simplex} runs on every LP relaxation.
 
-   It implements the algorithm of {!Tableau.Make} — crash basis, two primal
-   phases, bounded-variable ratio test with bound flips, fill-avoiding
-   refactorisation, steepest-edge-lite pricing with a Bland fallback — with
-   [float] hardcoded, so every hot array is an unboxed [float array] and
-   every comparison is inline (this switch has no flambda, so the functor
-   pays an indirect call and a float box per operation). On top of the
-   functor it has two things of its own:
+   The constraint matrix is stored column-wise (a compiled column store of
+   row-index and value arrays, see {!compiled}); the basis inverse is
+   represented as a product-form eta file that is rebuilt from scratch
+   (refactorised) after a bounded number of pivots, which both bounds the
+   FTRAN / BTRAN cost and drains accumulated roundoff.
 
-   - a compiled column store ({!compiled}): the standard form's row-index
+   Structural variables range over [0, ub_j] (ub_j optional, [infinity] =
+   none); a nonbasic variable rests at either bound ([at_ub]) and upper
+   bounds are enforced by the ratio test — including bound flips that move
+   a variable across its whole span without a basis change — instead of by
+   explicit rows.
+
+   Columns [0 .. n-1] are structural, [n .. n+m-1] artificial. Artificial
+   columns never re-enter the basis once they leave: phase 1 then still
+   terminates at a true optimum of the restricted problem, and any feasible
+   point of the original problem remains feasible with all artificials at
+   zero, so the infeasibility test is unaffected.
+
+   Pricing is steepest-edge-lite — Dantzig reduced costs scaled by static
+   column norms ([d_j^2 / (1 + ||a_j||^2)]) — for the first [3*(m+n)]
+   iterations, then Bland (smallest index), which guarantees termination
+   even under degeneracy (bound flips are always nondegenerate: spans are
+   strictly positive).
+
+   Every hot array is an unboxed [float array] and every comparison inline.
+   Two things serve branch-and-bound in particular:
+
+   - the compiled column store ({!compiled}): the standard form's row-index
      and value arrays, pricing weights, costs and root spans, built once
      per branch-and-bound search and shared read-only by the cold root
      solve and every warm node re-solve;
-   - the write-once factor cell of {!Tableau.snapshot}: the first warm
-     re-solve from a snapshot publishes its refactorised basis, and the
-     sibling installs it instead of refactorising.
+   - the write-once factor cell of {!snapshot}: the first warm re-solve
+     from a snapshot publishes its refactorised basis, and the sibling
+     installs it instead of refactorising.
 
-   The exact-vs-float property test in [test_lp.ml] cross-checks the two
-   kernels on random models. Tolerances match {!Field.Approx}
-   ([eps = 1e-9]). *)
+   [test/lp_oracle.ml] checks the kernel, through {!Simplex}, against exact
+   vertex enumeration on random models. *)
 
 let eps = 1e-9
 
-type eta = Tableau.eta = {
+type result =
+  | Optimal of float * float array
+  | Infeasible
+  | Unbounded
+
+exception Deadline_exceeded
+
+type eta = {
   e_row : int;
   e_pivot : float;  (* 1 / alpha_r *)
   e_idx : int array;  (* rows i <> e_row with nonzero alpha_i *)
   e_val : float array;  (* -alpha_i / alpha_r, parallel to [e_idx] *)
 }
+
+type factor = { f_basis : int array; f_etas : eta array }
+
+(* Which columns are basic and which nonbasic columns rest at their upper
+   bound, plus the factor cell, written at most once (see
+   {!warm_factor}). *)
+type snapshot = {
+  s_basis : int array;
+  s_at_ub : bool array;
+  s_factor : factor option Atomic.t;
+}
+
+let new_snapshot ~basis ~at_ub =
+  {
+    s_basis = Array.copy basis;
+    s_at_ub = Array.copy at_ub;
+    s_factor = Atomic.make None;
+  }
+
+type resolve =
+  | Resolved of result * snapshot option
+  | Stale of string
 
 let dummy_eta = { e_row = 0; e_pivot = 1.0; e_idx = [||]; e_val = [||] }
 
@@ -43,20 +90,23 @@ type compiled = {
 
 let compile ~nrows:m ~cols ~c ~ubs =
   let n = Array.length cols in
-  if Array.length c <> n then invalid_arg "Tableau.solve: c length";
-  if Array.length ubs <> n then invalid_arg "Tableau.solve: ubs length";
+  if Array.length c <> n then invalid_arg "Tableau_float.compile: c length";
+  if Array.length ubs <> n then invalid_arg "Tableau_float.compile: ubs length";
   let cidx = Array.map (fun col -> Array.map fst col) cols in
   let cval = Array.map (fun col -> Array.map snd col) cols in
   Array.iter
     (fun idx ->
       Array.iter
-        (fun i -> if i < 0 || i >= m then invalid_arg "Tableau.solve: row out of range")
+        (fun i ->
+          if i < 0 || i >= m then
+            invalid_arg "Tableau_float.compile: row out of range")
         idx)
     cidx;
   let k_ubs =
     Array.map
       (function
-        | Some x when x <= eps -> invalid_arg "Tableau.solve: non-positive upper bound"
+        | Some x when x <= eps ->
+          invalid_arg "Tableau_float.compile: non-positive upper bound"
         | Some x -> x
         | None -> infinity)
       ubs
@@ -182,10 +232,24 @@ let load_x_b st =
   done;
   st.factor_etas <- st.n_etas
 
-(* See [Tableau.Make.refactor]: identity-like columns first, then dynamic
-   row-singleton elimination, then a dense sweep over the residual bump.
+(* Rebuild the eta file from the current basis, then recompute
+   x_B = B^-1 (b - N_U u_U). The pivot order is chosen to avoid fill in
+   the rebuilt eta file — essential, because a naive Gauss-Jordan over LP
+   bases produces near-dense etas and the FTRAN / BTRAN cost explodes:
+
+   pass 1: identity-like columns (artificials and structural singletons)
+           pivot on their own row with a trivial (term-free) eta;
+   pass 2: repeatedly pivot a column that is alone on some untaken row.
+           No other remaining column touches that row, so applying the
+           eta downstream is a pattern no-op: each such eta carries
+           exactly the column's own off-pivot entries and no fill;
+   pass 3: the residual "bump" (rarely more than a handful of columns in
+           an LP basis) is eliminated densely, smallest column first,
+           picking pivot rows by magnitude.
+
    The eta file goes into a fresh array: the old one may belong to a
-   published {!Tableau.factor}, which no solve may write into. *)
+   published {!factor}, which no solve may write into. Fails with a bare
+   reason on a singular basis; the public entry points report it. *)
 let refactor st =
   let rt0 = Telemetry.Clock.now_s () in
   st.etas <- Array.make (max 16 st.m) dummy_eta;
@@ -217,7 +281,7 @@ let refactor st =
             end
           end
         done;
-        if !best < 0 then failwith "Tableau_float: singular basis on refactorisation";
+        if !best < 0 then failwith "singular basis on refactorisation";
         !best
     in
     push_eta st (eta_of_alpha ~row v);
@@ -284,8 +348,14 @@ let refactor st =
   load_x_b st;
   Telemetry.observe "lp.simplex.refactor_s" (Telemetry.Clock.now_s () -. rt0)
 
-(* See [Tableau.Make.entering]; [c_of] is split into the structural cost
-   array and the phase flag so the reduced-cost loop stays allocation-free. *)
+(* Entering column among the structural nonbasics: a variable at its lower
+   bound enters on a negative reduced cost (moving up), one at its upper
+   bound on a positive reduced cost (moving down). Steepest-edge-lite
+   (reduced cost scaled by the static column norm) or Bland. Artificials
+   are never priced back in. Phase 1 prices the sum of artificials, phase 2
+   the structural costs [c]; the two are selected by a flag rather than a
+   cost closure so the reduced-cost loop stays allocation-free. Returns the
+   column and its direction, with its FTRAN'd tableau column in [alpha]. *)
 let entering st ~c ~phase2 ~bland ~y alpha =
   for i = 0 to st.m - 1 do
     let bv = st.basis.(i) in
@@ -304,7 +374,8 @@ let entering st ~c ~phase2 ~bland ~y alpha =
     !s
   in
   (* Zero-span columns (variables fixed by a branching bound change in a
-     warm re-solve) can neither step nor flip, so they never enter. *)
+     warm re-solve) can neither step nor flip: entering one would loop on
+     zero-length bound flips, so they are never eligible. *)
   let eligible j d =
     st.ubs.(j) > eps && if st.at_ub.(j) then d > eps else d < -.eps
   in
@@ -343,11 +414,17 @@ let entering st ~c ~phase2 ~bland ~y alpha =
   end
 
 type step =
-  | Flip
+  | Flip  (* the entering variable crosses to its other bound *)
   | Leave of { row : int; t : float; to_ub : bool }
   | Unbounded_dir
 
-(* See [Tableau.Make.ratio_test]. *)
+(* Ratio test for a column moving by [t >= 0] in direction [dir]: basic
+   variables must stay within [0, ub], and the entering variable within
+   its own [span]. Bland tie-break on basis variable index. In phase 2, a
+   basic artificial (redundant row, value 0) also leaves on a ratio-0
+   degenerate step whenever its entry is nonzero in the blocking
+   direction — preferring artificials on ratio ties keeps Bland's
+   termination argument, as an artificial that leaves never re-enters. *)
 let ratio_test st alpha ~dir ~span ~phase2 =
   let best = ref (-1) in
   let best_ratio = ref 0.0 in
@@ -388,14 +465,17 @@ let ratio_test st alpha ~dir ~span ~phase2 =
 let run_phase st ~c ~phase2 ~max_iters ~iter_count ~deadline ~pivots
     ~bland_pivots ~flips ~refactorisations alpha =
   let switch = 3 * (st.m + st.n) in
+  (* Pivots since the last refactorisation, not total eta-file length:
+     refactorising itself emits up to [m] etas, so an absolute threshold
+     below [m] would re-trigger on every iteration. *)
   let refactor_limit = min 150 (50 + (st.m / 4)) in
   let y = Array.make st.m 0.0 in
   let rec loop () =
-    if !iter_count > max_iters then failwith "Tableau: iteration limit exceeded";
+    if !iter_count > max_iters then failwith "iteration limit exceeded";
     (match deadline with
      | Some t when !iter_count land 15 = 0 && Telemetry.Clock.now_s () > t ->
        Telemetry.count "lp.simplex.deadline_aborts";
-       raise Tableau.Deadline_exceeded
+       raise Deadline_exceeded
      | Some _ | None -> ());
     incr iter_count;
     if st.n_etas - st.factor_etas > refactor_limit then begin
@@ -431,7 +511,10 @@ let run_phase st ~c ~phase2 ~max_iters ~iter_count ~deadline ~pivots
   in
   loop ()
 
-(* See [Tableau.Make.drive_out_artificials]. *)
+(* After phase 1, pivot remaining basic artificials out wherever some
+   structural column has a nonzero entry in their row; rows whose
+   structural part is entirely zero are redundant and are handled by the
+   phase-2 ratio test instead. *)
 let drive_out_artificials st ~pivots =
   let rho = Array.make st.m 0.0 in
   let alpha = Array.make st.m 0.0 in
@@ -468,12 +551,34 @@ let drive_out_artificials st ~pivots =
     end
   done
 
-(* See [Tableau.Make.dual_phase]: bound-ratio pricing of the most infeasible
-   basic variable, then a bound-flipping (long-step) dual ratio test over
-   the nonbasic structural columns. Artificials are pinned to [0, 0] so a
-   basic artificial driven nonzero by the child rhs registers as a
-   violation to repair; an exhausted ratio test is a genuine infeasibility
-   certificate. *)
+(* Dual simplex: restore primal feasibility of an inherited basis after the
+   rhs / bound changes of a branch-and-bound child node, without giving up
+   the parent's dual feasibility (the reduced-cost sign pattern depends only
+   on the basis and the costs, neither of which branching touches).
+
+   Bound-ratio pricing picks the leaving row — the basic variable with the
+   largest bound violation, scaled by its static column norm, mirroring the
+   primal's steepest-edge-lite rule — and the ratio test runs over the eta
+   file: one BTRAN for the pivot row of B^-1, one for the simplex
+   multipliers, then a sweep of the nonbasic structural columns collecting
+   every sign-eligible entry with its ratio |d_j| / |alpha_rj|.
+
+   The ratio test is the bound-flipping ("long step") variant: candidates
+   are walked in ratio order and a boxed candidate whose span cannot absorb
+   the remaining violation is flipped to its other bound — its reduced cost
+   changes sign past the breakpoint, which is only dual feasible at the
+   opposite bound — while the violation slope shrinks by span * |alpha_rj|;
+   the first candidate that covers the residual violation pivots. All flips
+   of one iteration are applied with a single accumulated FTRAN, so a
+   flip-heavy repair costs one pricing round instead of one per flip (the
+   naive variant hit ~800 full reprices per warm solve on the paper's
+   case 1).
+
+   Artificial columns are pinned to [0, 0] here: the parent solve left them
+   at zero, and a nonzero artificial under the child's rhs is precisely an
+   equality-row violation the dual steps must repair. Artificials are never
+   priced back in; if no eligible entering column exists the row is a valid
+   infeasibility certificate, as trustworthy as the primal phase-1 test. *)
 let dual_phase st ~c ~max_iters ~iter_count ~deadline ~dual_pivots ~flips
     ~refactorisations alpha =
   let refactor_limit = min 150 (50 + (st.m / 4)) in
@@ -490,7 +595,7 @@ let dual_phase st ~c ~max_iters ~iter_count ~deadline ~dual_pivots ~flips
       (match deadline with
        | Some t when !iter_count land 15 = 0 && Telemetry.Clock.now_s () > t ->
          Telemetry.count "lp.simplex.deadline_aborts";
-         raise Tableau.Deadline_exceeded
+         raise Deadline_exceeded
        | Some _ | None -> ());
       incr iter_count;
       if st.n_etas - st.factor_etas > refactor_limit then begin
@@ -659,10 +764,10 @@ let dual_phase st ~c ~max_iters ~iter_count ~deadline ~dual_pivots ~flips
    counters depend only on the search tree, never on which domain got
    there first. *)
 let warm_factor st snapshot ~refactorisations ~factor_reuses =
-  let cell = snapshot.Tableau.s_factor in
+  let cell = snapshot.s_factor in
   match Atomic.get cell with
   | Some f ->
-    Array.blit f.Tableau.f_basis 0 st.basis 0 st.m;
+    Array.blit f.f_basis 0 st.basis 0 st.m;
     (* exactly full, so the first eta this solve pushes reallocates *)
     st.etas <- f.f_etas;
     st.n_etas <- Array.length f.f_etas;
@@ -675,7 +780,7 @@ let warm_factor st snapshot ~refactorisations ~factor_reuses =
        incr refactorisations;
        raise e);
     let f =
-      { Tableau.f_basis = Array.copy st.basis; f_etas = Array.sub st.etas 0 st.n_etas }
+      { f_basis = Array.copy st.basis; f_etas = Array.sub st.etas 0 st.n_etas }
     in
     if Atomic.compare_and_set cell None (Some f) then incr refactorisations
     else incr factor_reuses
@@ -683,15 +788,16 @@ let warm_factor st snapshot ~refactorisations ~factor_reuses =
 let resolve_with_basis ?(max_iters = 50_000) ?deadline k ~b ~spans ~snapshot ()
     =
   let m = k.k_nrows and n = Array.length k.k_cidx in
-  if Array.length b <> m then invalid_arg "Tableau.resolve: b length";
+  if Array.length b <> m then
+    invalid_arg "Tableau_float.resolve_with_basis: b length";
   if
-    Array.length snapshot.Tableau.s_basis <> m
-    || Array.length snapshot.Tableau.s_at_ub <> n
-  then invalid_arg "Tableau.resolve: snapshot shape";
+    Array.length snapshot.s_basis <> m
+    || Array.length snapshot.s_at_ub <> n
+  then invalid_arg "Tableau_float.resolve_with_basis: snapshot shape";
   (* A negative span means the node fixed a variable to an impossible
      range: the subproblem is infeasible before any pivoting. *)
   if List.exists (function _, Some u -> u < -.eps | _, None -> false) spans
-  then Tableau.Resolved (Tableau.Infeasible, None)
+  then Resolved (Infeasible, None)
   else begin
     let ub_arr = Array.copy k.k_ubs in
     List.iter
@@ -699,8 +805,8 @@ let resolve_with_basis ?(max_iters = 50_000) ?deadline k ~b ~spans ~snapshot ()
         ub_arr.(j) <- (match uo with Some x -> Float.max x 0.0 | None -> infinity))
       spans;
     let c = k.k_c in
-    let basis = Array.copy snapshot.Tableau.s_basis in
-    let at_ub = Array.copy snapshot.Tableau.s_at_ub in
+    let basis = Array.copy snapshot.s_basis in
+    let at_ub = Array.copy snapshot.s_at_ub in
     let pos = Array.make (n + m) (-1) in
     let sane = ref true in
     Array.iteri
@@ -712,7 +818,7 @@ let resolve_with_basis ?(max_iters = 50_000) ?deadline k ~b ~spans ~snapshot ()
       if at_ub.(j) && (pos.(j) >= 0 || ub_arr.(j) = infinity) then
         at_ub.(j) <- false
     done;
-    if not !sane then Tableau.Stale "corrupt basis snapshot"
+    if not !sane then Stale "corrupt basis snapshot"
     else begin
       let st =
         {
@@ -757,22 +863,22 @@ let resolve_with_basis ?(max_iters = 50_000) ?deadline k ~b ~spans ~snapshot ()
              ~flips ~refactorisations alpha
          with Failure msg -> `Failed msg)
       with
-      | `Failed msg -> Tableau.Stale msg
-      | `Cycled -> Tableau.Stale "dual iteration limit"
-      | `Numerical -> Tableau.Stale "dual numerical drift"
-      | `Dual_unbounded -> Tableau.Resolved (Tableau.Infeasible, None)
+      | `Failed msg -> Stale msg
+      | `Cycled -> Stale "dual iteration limit"
+      | `Numerical -> Stale "dual numerical drift"
+      | `Dual_unbounded -> Resolved (Infeasible, None)
       | `Primal_feasible -> (
         (* Primal clean-up: the dual phase ends primal feasible, and any
-           residual dual infeasibility is polished off by ordinary phase-2
-           pivots. *)
+           residual dual infeasibility (e.g. a nonbasic variable whose rest
+           bound flipped) is polished off by ordinary phase-2 pivots. *)
         match
           (try
              run_phase st ~c ~phase2:true ~max_iters ~iter_count ~deadline
                ~pivots ~bland_pivots ~flips ~refactorisations alpha
            with Failure msg -> `Failed msg)
         with
-        | `Failed msg -> Tableau.Stale msg
-        | `Unbounded -> Tableau.Resolved (Tableau.Unbounded, None)
+        | `Failed msg -> Stale msg
+        | `Unbounded -> Resolved (Unbounded, None)
         | `Optimal ->
           (* Accuracy cross-check before trusting the inherited basis: the
              resolved point must satisfy the bound system and A x = b. *)
@@ -807,24 +913,31 @@ let resolve_with_basis ?(max_iters = 50_000) ?deadline k ~b ~spans ~snapshot ()
           Array.iter
             (fun ri -> if Float.abs ri > 1e-6 *. scale then ok := false)
             resid;
-          if not !ok then Tableau.Stale "warm solve lost accuracy"
+          if not !ok then Stale "warm solve lost accuracy"
           else begin
             let value = ref 0.0 in
             for j = 0 to n - 1 do
               value := !value +. (c.(j) *. x.(j))
             done;
-            Tableau.Resolved
-              ( Tableau.Optimal (!value, x),
-                Some (Tableau.new_snapshot ~basis:st.basis ~at_ub:st.at_ub) )
+            Resolved
+              ( Optimal (!value, x),
+                Some (new_snapshot ~basis:st.basis ~at_ub:st.at_ub) )
           end)
     end
   end
 
 let solve_cols ?(max_iters = 50_000) ?deadline ?snapshot_out k ~b () =
   let m = k.k_nrows and n = Array.length k.k_cidx in
-  if Array.length b <> m then invalid_arg "Tableau.solve: b length";
-  Array.iter (fun bi -> if bi < -.eps then invalid_arg "Tableau.solve: negative rhs") b;
+  if Array.length b <> m then invalid_arg "Tableau_float.solve_cols: b length";
+  Array.iter
+    (fun bi ->
+      if bi < -.eps then invalid_arg "Tableau_float.solve_cols: negative rhs")
+    b;
   let cidx = k.k_cidx and cval = k.k_cval and ub_arr = k.k_ubs and c = k.k_c in
+  (* Crash basis: cover each row with a positive structural singleton
+     column (a slack, surplus-free bound row, ...) where one exists — the
+     basis stays diagonal, so x_B = b (rescaled) stays feasible — and only
+     the remaining rows get artificials for phase 1 to clear. *)
   let basis = Array.init m (fun i -> n + i) in
   let covered = Array.make m false in
   for j = 0 to n - 1 do
@@ -882,39 +995,46 @@ let solve_cols ?(max_iters = 50_000) ?deadline ?snapshot_out k ~b () =
   Fun.protect ~finally:flush @@ fun () ->
   let iter_count = ref 0 in
   let alpha = Array.make m 0.0 in
-  match
-    run_phase st ~c ~phase2:false ~max_iters ~iter_count ~deadline ~pivots
-      ~bland_pivots ~flips ~refactorisations alpha
-  with
-  | `Unbounded -> failwith "Tableau: phase-1 unbounded (impossible)"
-  | `Optimal ->
-    let infeas = ref 0.0 in
-    for i = 0 to m - 1 do
-      if st.basis.(i) >= n then infeas := !infeas +. st.x_b.(i)
-    done;
-    if !infeas > eps then Tableau.Infeasible
-    else begin
-      drive_out_artificials st ~pivots;
-      match
-        run_phase st ~c ~phase2:true ~max_iters ~iter_count ~deadline ~pivots
-          ~bland_pivots ~flips ~refactorisations alpha
-      with
-      | `Unbounded -> Tableau.Unbounded
-      | `Optimal ->
-        (match snapshot_out with
-         | Some cell ->
-           cell := Some (Tableau.new_snapshot ~basis:st.basis ~at_ub:st.at_ub)
-         | None -> ());
-        let x = Array.make n 0.0 in
-        for j = 0 to n - 1 do
-          if st.pos.(j) < 0 && st.at_ub.(j) then x.(j) <- st.ubs.(j)
-        done;
-        for i = 0 to m - 1 do
-          if st.basis.(i) < n then x.(st.basis.(i)) <- st.x_b.(i)
-        done;
-        let value = ref 0.0 in
-        for j = 0 to n - 1 do
-          value := !value +. (c.(j) *. x.(j))
-        done;
-        Tableau.Optimal (!value, x)
-    end
+  (* The pivot loop and refactorisation fail with a bare reason (a warm
+     re-solve turns it into [Stale]); a cold solve reports it under its own
+     name. *)
+  try
+    (* Phase 1: minimise the sum of artificials. *)
+    match
+      run_phase st ~c ~phase2:false ~max_iters ~iter_count ~deadline ~pivots
+        ~bland_pivots ~flips ~refactorisations alpha
+    with
+    | `Unbounded -> failwith "phase-1 unbounded (impossible)"
+    | `Optimal ->
+      let infeas = ref 0.0 in
+      for i = 0 to m - 1 do
+        if st.basis.(i) >= n then infeas := !infeas +. st.x_b.(i)
+      done;
+      if !infeas > eps then Infeasible
+      else begin
+        drive_out_artificials st ~pivots;
+        (* Phase 2: real costs over the structural columns. *)
+        match
+          run_phase st ~c ~phase2:true ~max_iters ~iter_count ~deadline ~pivots
+            ~bland_pivots ~flips ~refactorisations alpha
+        with
+        | `Unbounded -> Unbounded
+        | `Optimal ->
+          (match snapshot_out with
+           | Some cell ->
+             cell := Some (new_snapshot ~basis:st.basis ~at_ub:st.at_ub)
+           | None -> ());
+          let x = Array.make n 0.0 in
+          for j = 0 to n - 1 do
+            if st.pos.(j) < 0 && st.at_ub.(j) then x.(j) <- st.ubs.(j)
+          done;
+          for i = 0 to m - 1 do
+            if st.basis.(i) < n then x.(st.basis.(i)) <- st.x_b.(i)
+          done;
+          let value = ref 0.0 in
+          for j = 0 to n - 1 do
+            value := !value +. (c.(j) *. x.(j))
+          done;
+          Optimal (!value, x)
+      end
+  with Failure reason -> failwith ("Tableau_float.solve_cols: " ^ reason)

@@ -76,6 +76,153 @@ module Json = struct
     let buf = Buffer.create 256 in
     emit buf t;
     Buffer.contents buf
+
+  exception Parse_error of string
+
+  let of_string s =
+    let n = String.length s in
+    let pos = ref 0 in
+    let fail msg =
+      raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos))
+    in
+    let peek () = if !pos < n then s.[!pos] else '\255' in
+    let advance () = incr pos in
+    let rec skip_ws () =
+      match peek () with
+      | ' ' | '\t' | '\n' | '\r' ->
+        advance ();
+        skip_ws ()
+      | _ -> ()
+    in
+    let expect c =
+      if peek () = c then advance () else fail (Printf.sprintf "expected '%c'" c)
+    in
+    let literal word value =
+      String.iter expect word;
+      value
+    in
+    let hex_digit () =
+      let c = peek () in
+      advance ();
+      match c with
+      | '0' .. '9' -> Char.code c - Char.code '0'
+      | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+      | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+      | _ -> fail "bad \\u escape"
+    in
+    let parse_string () =
+      expect '"';
+      let buf = Buffer.create 16 in
+      let rec go () =
+        match peek () with
+        | '"' ->
+          advance ();
+          Buffer.contents buf
+        | '\\' ->
+          advance ();
+          let c = peek () in
+          advance ();
+          (match c with
+           | '"' | '\\' | '/' -> Buffer.add_char buf c
+           | 'n' -> Buffer.add_char buf '\n'
+           | 't' -> Buffer.add_char buf '\t'
+           | 'r' -> Buffer.add_char buf '\r'
+           | 'b' -> Buffer.add_char buf '\b'
+           | 'f' -> Buffer.add_char buf '\012'
+           | 'u' ->
+             let code = ref 0 in
+             for _ = 1 to 4 do
+               code := (!code * 16) + hex_digit ()
+             done;
+             (* [emit] writes only control characters this way; anything
+                beyond ASCII would need a UTF-8 encoder, and reads as '?' *)
+             Buffer.add_char buf (if !code < 0x80 then Char.chr !code else '?')
+           | _ -> fail "bad escape");
+          go ()
+        | '\255' when !pos >= n -> fail "unterminated string"
+        | c ->
+          Buffer.add_char buf c;
+          advance ();
+          go ()
+      in
+      go ()
+    in
+    (* The JSON number grammar: optional minus, then 0 or a digit string not
+       starting with 0, then an optional fraction and an optional exponent,
+       each with at least one digit. Integer literals read as [Int] (when
+       they fit in one), the rest as [Float]. *)
+    let parse_number () =
+      let start = !pos in
+      let digits () =
+        let d0 = !pos in
+        while peek () >= '0' && peek () <= '9' do
+          advance ()
+        done;
+        if !pos = d0 then fail "malformed number"
+      in
+      if peek () = '-' then advance ();
+      if peek () = '0' then advance () else digits ();
+      let integral = not (peek () = '.' || peek () = 'e' || peek () = 'E') in
+      if peek () = '.' then (advance (); digits ());
+      if peek () = 'e' || peek () = 'E' then begin
+        advance ();
+        if peek () = '+' || peek () = '-' then advance ();
+        digits ()
+      end;
+      let lit = String.sub s start (!pos - start) in
+      match if integral then int_of_string_opt lit else None with
+      | Some i -> Int i
+      | None -> Float (float_of_string lit)
+    in
+    let rec parse_value () =
+      skip_ws ();
+      match peek () with
+      | '{' ->
+        advance ();
+        skip_ws ();
+        if peek () = '}' then (advance (); Obj [])
+        else
+          let rec members acc =
+            skip_ws ();
+            let key = parse_string () in
+            skip_ws ();
+            expect ':';
+            let v = parse_value () in
+            skip_ws ();
+            match peek () with
+            | ',' -> advance (); members ((key, v) :: acc)
+            | '}' -> advance (); Obj (List.rev ((key, v) :: acc))
+            | _ -> fail "expected ',' or '}'"
+          in
+          members []
+      | '[' ->
+        advance ();
+        skip_ws ();
+        if peek () = ']' then (advance (); List [])
+        else
+          let rec elements acc =
+            let v = parse_value () in
+            skip_ws ();
+            match peek () with
+            | ',' -> advance (); elements (v :: acc)
+            | ']' -> advance (); List (List.rev (v :: acc))
+            | _ -> fail "expected ',' or ']'"
+          in
+          elements []
+      | '"' -> String (parse_string ())
+      | 't' -> literal "true" (Bool true)
+      | 'f' -> literal "false" (Bool false)
+      | 'n' -> literal "null" Null
+      | _ -> parse_number ()
+    in
+    match
+      let v = parse_value () in
+      skip_ws ();
+      if !pos <> n then fail "trailing garbage";
+      v
+    with
+    | v -> Ok v
+    | exception Parse_error msg -> Error msg
 end
 
 type span_record = {

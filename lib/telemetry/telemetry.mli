@@ -39,6 +39,15 @@ module Json : sig
   val to_string : t -> string
   (** Compact single-line rendering; floats use a fixed format so equal
       inputs always serialise identically. *)
+
+  val of_string : string -> (t, string) result
+  (** Parse one JSON value (surrounding whitespace allowed). Integer
+      literals that fit an [int] read as [Int], every other number as
+      [Float]; numbers must follow the JSON grammar (no [+1], [01] or
+      [1.]). A [\u00XX] escape below [0x80] decodes to its character (the
+      ones {!to_string} writes for control characters), any other [\u]
+      escape to ['?']. So [to_string (of_string (to_string j))] is
+      [to_string j]. [Error] carries the reason and byte offset. *)
 end
 
 val enabled : unit -> bool

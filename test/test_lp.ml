@@ -1,5 +1,6 @@
 (* Tests for the from-scratch LP/MILP solver: linear expressions, the model
-   builder, both simplex instantiations, presolve and branch-and-bound. *)
+   builder, the float simplex (checked against the exact vertex-enumeration
+   oracle in [lp_oracle.ml]), presolve and branch-and-bound. *)
 
 module Q = Numeric.Rat
 module E = Lp.Linexpr
@@ -101,12 +102,12 @@ let test_simplex_optimal () =
      check flt "x" 2.0 values.(x);
      check flt "y" 6.0 values.(y)
    | S.Infeasible | S.Unbounded -> Alcotest.fail "expected optimal");
-  match S.solve_relaxation_exact m with
-  | S.Optimal { objective; values } ->
+  match Lp_oracle.solve m with
+  | Lp_oracle.Optimal { objective; values } ->
     check str "exact objective" "36" (Q.to_string objective);
     check str "exact x" "2" (Q.to_string values.(x));
     check str "exact y" "6" (Q.to_string values.(y))
-  | S.Infeasible | S.Unbounded -> Alcotest.fail "expected optimal (exact)"
+  | Lp_oracle.Infeasible -> Alcotest.fail "expected optimal (oracle)"
 
 let test_simplex_infeasible () =
   let m = M.create () in
@@ -196,28 +197,29 @@ let test_simplex_degenerate () =
   | S.Optimal { objective; _ } -> check flt "beale optimum" 1.25 objective
   | S.Infeasible | S.Unbounded -> Alcotest.fail "expected optimal"
 
-(* exact and float simplex agree on random small LPs *)
-let arb_lp =
-  let gen =
-    QCheck.Gen.(
-      int_range 1 4 >>= fun nvars ->
-      int_range 1 5 >>= fun nrows ->
-      let coeff = int_range (-5) 5 in
-      list_size (return nrows)
-        (pair (list_size (return nvars) coeff) (int_range 0 20))
-      >>= fun rows ->
-      list_size (return nvars) coeff >>= fun obj -> return (nvars, rows, obj))
-  in
-  QCheck.make gen ~print:(fun (n, rows, obj) ->
-      Printf.sprintf "n=%d rows=%s obj=%s" n
-        (String.concat ";"
-           (List.map
-              (fun (cs, b) ->
-                String.concat "," (List.map string_of_int cs) ^ "<=" ^ string_of_int b)
-              rows))
-        (String.concat "," (List.map string_of_int obj)))
+(* Box LPs: [<= b] rows with [b >= 0] over variables in [0, 50], so the
+   origin is feasible under any tightened upper bound and every solve is
+   [Optimal], as the warm-start properties below need. *)
+let gen_box_lp =
+  QCheck.Gen.(
+    int_range 1 4 >>= fun nvars ->
+    int_range 1 5 >>= fun nrows ->
+    let coeff = int_range (-5) 5 in
+    list_size (return nrows)
+      (pair (list_size (return nvars) coeff) (int_range 0 20))
+    >>= fun rows ->
+    list_size (return nvars) coeff >>= fun obj -> return (nvars, rows, obj))
 
-let build_lp (nvars, rows, obj) =
+let print_box_lp (n, rows, obj) =
+  Printf.sprintf "n=%d rows=%s obj=%s" n
+    (String.concat ";"
+       (List.map
+          (fun (cs, b) ->
+            String.concat "," (List.map string_of_int cs) ^ "<=" ^ string_of_int b)
+          rows))
+    (String.concat "," (List.map string_of_int obj))
+
+let build_box_lp (nvars, rows, obj) =
   let m = M.create () in
   let xs = Array.init nvars (fun i -> M.add_var m ~ub:(Q.of_int 50) (Printf.sprintf "x%d" i)) in
   List.iter
@@ -228,46 +230,86 @@ let build_lp (nvars, rows, obj) =
   M.set_objective m `Maximize (E.sum (List.mapi (fun i c -> E.iterm c xs.(i)) obj));
   m
 
-let prop_exact_matches_float =
-  QCheck.Test.make ~name:"exact and float simplex agree" ~count:150 arb_lp (fun spec ->
-      let m = build_lp spec in
-      match (S.solve_relaxation_float m, S.solve_relaxation_exact m) with
-      | S.Optimal { objective = f; _ }, S.Optimal { objective = q; _ } ->
-        Float.abs (f -. Q.to_float q) < 1e-6
-      | S.Infeasible, S.Infeasible | S.Unbounded, S.Unbounded -> true
-      | _, _ -> false)
-
-(* A warm dual re-solve after a bound change must land on the same optimum
-   as a cold solve of the changed model. Rows are [<= b] with [b >= 0] and
-   variables live in [0, 50], so the origin stays feasible under any
-   tightened upper bound and both solves are always [Optimal]. *)
-let arb_lp_rebound =
+(* General small LPs: [<=], [>=] and [=] rows whose right-hand sides take
+   either sign, so some instances are infeasible; lower bounds in
+   [-10, 0] and some fixed variables ([lb = ub]), so the [Shifted] and
+   [Fixed] standard-form mappings both carry nonzero constants; either
+   objective direction. Every variable is boxed, so the feasible region is
+   bounded, as the oracle needs. *)
+let arb_lp =
   let gen =
     QCheck.Gen.(
       int_range 1 4 >>= fun nvars ->
       int_range 1 5 >>= fun nrows ->
       let coeff = int_range (-5) 5 in
+      let sense = frequency [ (3, return M.Le); (1, return M.Ge); (1, return M.Eq) ] in
       list_size (return nrows)
-        (pair (list_size (return nvars) coeff) (int_range 0 20))
+        (triple (list_size (return nvars) coeff) sense (int_range (-10) 20))
       >>= fun rows ->
+      let width = frequency [ (1, return 0); (4, int_range 1 50) ] in
+      list_size (return nvars) (pair (int_range (-10) 0) width) >>= fun bounds ->
       list_size (return nvars) coeff >>= fun obj ->
-      int_range 0 (nvars - 1) >>= fun vi ->
-      int_range 0 50 >>= fun new_ub -> return ((nvars, rows, obj), vi, new_ub))
+      bool >>= fun maximize -> return (bounds, rows, obj, maximize))
   in
-  QCheck.make gen ~print:(fun ((n, rows, obj), vi, new_ub) ->
-      Printf.sprintf "n=%d rows=%s obj=%s change x%d.ub=%d" n
+  let sense_str = function M.Le -> "<=" | M.Ge -> ">=" | M.Eq -> "=" in
+  QCheck.make gen ~print:(fun (bounds, rows, obj, maximize) ->
+      Printf.sprintf "bounds=%s rows=%s %s %s"
+        (String.concat ","
+           (List.map (fun (lb, w) -> Printf.sprintf "[%d,%d]" lb (lb + w)) bounds))
         (String.concat ";"
            (List.map
-              (fun (cs, b) ->
-                String.concat "," (List.map string_of_int cs) ^ "<=" ^ string_of_int b)
+              (fun (cs, sense, b) ->
+                String.concat "," (List.map string_of_int cs)
+                ^ sense_str sense ^ string_of_int b)
               rows))
-        (String.concat "," (List.map string_of_int obj))
-        vi new_ub)
+        (if maximize then "max" else "min")
+        (String.concat "," (List.map string_of_int obj)))
+
+let build_lp (bounds, rows, obj, maximize) =
+  let m = M.create () in
+  let xs =
+    List.mapi
+      (fun i (lb, w) ->
+        M.add_var m ~lb:(Q.of_int lb) ~ub:(Q.of_int (lb + w)) (Printf.sprintf "x%d" i))
+      bounds
+  in
+  let expr cs = E.sum (List.map2 E.iterm cs xs) in
+  List.iter (fun (cs, sense, b) -> M.add_constr m (expr cs) sense (E.of_int b)) rows;
+  M.set_objective m (if maximize then `Maximize else `Minimize) (expr obj);
+  m
+
+(* The optimum must match, and the float point must be feasible and reach
+   the objective it reports: that checks the mapping back from columns to
+   model variables too. *)
+let prop_float_matches_oracle =
+  QCheck.Test.make ~name:"float simplex matches exact vertex enumeration" ~count:150
+    arb_lp (fun spec ->
+      let m = build_lp spec in
+      match (S.solve_relaxation_float m, Lp_oracle.solve m) with
+      | S.Optimal { objective = f; values }, Lp_oracle.Optimal { objective = q; _ } ->
+        let x v = values.(v) in
+        Float.abs (f -. Q.to_float q) < 1e-6
+        && M.check_feasible m x = []
+        && Float.abs (M.eval_objective m x -. f) < 1e-6
+      | S.Infeasible, Lp_oracle.Infeasible -> true
+      | _, _ -> false)
+
+(* A warm dual re-solve after a bound change must land on the same optimum
+   as a cold solve of the changed model. *)
+let arb_lp_rebound =
+  let gen =
+    QCheck.Gen.(
+      gen_box_lp >>= fun ((nvars, _, _) as spec) ->
+      int_range 0 (nvars - 1) >>= fun vi ->
+      int_range 0 50 >>= fun new_ub -> return (spec, vi, new_ub))
+  in
+  QCheck.make gen ~print:(fun (spec, vi, new_ub) ->
+      Printf.sprintf "%s change x%d.ub=%d" (print_box_lp spec) vi new_ub)
 
 let prop_warm_resolve_matches_cold =
   QCheck.Test.make ~name:"warm dual re-solve matches cold optimum" ~count:150
     arb_lp_rebound (fun ((nvars, _, _) as spec, vi, new_ub) ->
-      let m = build_lp spec in
+      let m = build_box_lp spec in
       let cell = S.new_basis () in
       match S.solve_relaxation_float ~basis:cell m with
       | S.Infeasible | S.Unbounded -> false (* the box forbids both *)
@@ -294,13 +336,12 @@ let prop_warm_resolve_matches_cold =
 let arb_siblings =
   let gen =
     QCheck.Gen.(
-      QCheck.gen arb_lp >>= fun ((nvars, _, _) as spec) ->
+      gen_box_lp >>= fun ((nvars, _, _) as spec) ->
       int_range 0 (nvars - 1) >>= fun vi ->
       int_range 0 49 >>= fun k -> return (spec, vi, k))
   in
-  let print_lp = Option.get arb_lp.QCheck.print in
   QCheck.make gen ~print:(fun (spec, vi, k) ->
-      Printf.sprintf "%s branch x%d at %d" (print_lp spec) vi k)
+      Printf.sprintf "%s branch x%d at %d" (print_box_lp spec) vi k)
 
 let bits = function
   | S.Optimal { objective; values } ->
@@ -311,7 +352,7 @@ let bits = function
    vectors, which share every unchanged entry with the root's as
    branch-and-bound's do. *)
 let siblings ((nvars, _, _) as spec) vi k =
-  let m = build_lp spec in
+  let m = build_box_lp spec in
   let root = Array.init nvars (fun _ -> (Some Q.zero, Some (Q.of_int 50))) in
   let child bound =
     let b = Array.copy root in
@@ -330,10 +371,10 @@ let siblings ((nvars, _, _) as spec) vi k =
   in
   (parent, solve, down, up)
 
-let factor_contents (f : Lp.Tableau.factor) =
+let factor_contents (f : Lp.Tableau_float.factor) =
   ( Array.copy f.f_basis,
     Array.map
-      (fun (e : Lp.Tableau.eta) ->
+      (fun (e : Lp.Tableau_float.eta) ->
         (e.e_row, Int64.bits_of_float e.e_pivot, Array.copy e.e_idx,
          Array.map Int64.bits_of_float e.e_val))
       f.f_etas )
@@ -660,7 +701,7 @@ let () =
       ( "simplex-props",
         qsuite
           [
-            prop_exact_matches_float;
+            prop_float_matches_oracle;
             prop_warm_resolve_matches_cold;
             prop_sibling_factor_shared;
             prop_sibling_factor_domains;

@@ -269,6 +269,47 @@ let test_exporters_valid_and_deterministic () =
       Alcotest.(check bool) "attr escaped" true (contains trace1 "x\\\"y\\\\z");
       Alcotest.(check bool) "counter exported" true (contains stats1 "\"nodes\""))
 
+(* [Json.of_string] reads back what [Json.to_string] writes, including the
+   [\u00XX] escapes the writer uses for control characters. *)
+let test_json_roundtrip () =
+  let open Telemetry.Json in
+  let tricky = "q\"b\\s\nctl\001" in
+  let j =
+    Obj
+      [
+        ("name", String tricky);
+        ("n", Int (-42));
+        ("x", Float 3.25);
+        ("none", Null);
+        ("flags", List [ Bool true; Bool false ]);
+        ( "nested",
+          Obj
+            [ ("list", List [ Int 1; Float (-0.5); List []; Obj [] ]); ("s", String "") ]
+        );
+      ]
+  in
+  let s = to_string j in
+  Alcotest.(check bool) "writer emits valid JSON" true (json_valid s);
+  match of_string s with
+  | Error msg -> Alcotest.fail msg
+  | Ok j' ->
+    Alcotest.(check string) "to_string . of_string . to_string" s (to_string j');
+    Alcotest.(check bool) "same tree (ints stay ints)" true (j' = j);
+    (match j' with
+     | Obj (("name", String name) :: _) ->
+       Alcotest.(check string) "escapes decoded" tricky name
+     | _ -> Alcotest.fail "expected the name field first")
+
+let test_json_rejects_malformed () =
+  let rejects what s =
+    Alcotest.(check bool) what true (Result.is_error (Telemetry.Json.of_string s))
+  in
+  rejects "trailing garbage" "{\"a\":1} x";
+  rejects "unterminated string" "{\"a\":\"abc";
+  rejects "unterminated list" "[1,2";
+  rejects "empty input" "";
+  List.iter (fun n -> rejects ("not a JSON number: " ^ n) n) [ "+1"; "01"; "1."; ".5"; "-" ]
+
 let test_stats_table () =
   fresh ();
   with_fixed_clock (fun () ->
@@ -368,6 +409,10 @@ let () =
           Alcotest.test_case "valid + deterministic JSON" `Quick
             test_exporters_valid_and_deterministic;
           Alcotest.test_case "ascii stats table" `Quick test_stats_table;
+          Alcotest.test_case "JSON reader round-trips the writer" `Quick
+            test_json_roundtrip;
+          Alcotest.test_case "JSON reader rejects malformed input" `Quick
+            test_json_rejects_malformed;
         ] );
       ( "pipeline",
         [
