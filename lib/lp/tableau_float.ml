@@ -5,7 +5,12 @@
    row-index and value arrays, see {!compiled}); the basis inverse is
    represented as a product-form eta file that is rebuilt from scratch
    (refactorised) after a bounded number of pivots, which both bounds the
-   FTRAN / BTRAN cost and drains accumulated roundoff.
+   FTRAN / BTRAN cost and drains accumulated roundoff. Every FTRAN runs in
+   one routine ({!load_column}) over a sparse work vector that records the
+   rows it touches, so building etas, updating x_B, the primal ratio test
+   and refactorisation cost time in proportion to nonzeros, not to [m].
+   The recorded rows are sorted ascending, so every float and tie-break is
+   the one a dense scan would produce.
 
    Structural variables range over [0, ub_j] (ub_j optional, [infinity] =
    none); a nonbasic variable rests at either bound ([at_ub]) and upper
@@ -96,10 +101,12 @@ let compile ~nrows:m ~cols ~c ~ubs =
   let cval = Array.map (fun col -> Array.map snd col) cols in
   Array.iter
     (fun idx ->
-      Array.iter
-        (fun i ->
+      Array.iteri
+        (fun k i ->
           if i < 0 || i >= m then
-            invalid_arg "Tableau_float.compile: row out of range")
+            invalid_arg "Tableau_float.compile: row out of range";
+          if k > 0 && idx.(k - 1) >= i then
+            invalid_arg "Tableau_float.compile: rows not strictly ascending")
         idx)
     cidx;
   let k_ubs =
@@ -118,6 +125,21 @@ let compile ~nrows:m ~cols ~c ~ubs =
   in
   { k_nrows = m; k_cidx = cidx; k_cval = cval; k_weight = weight; k_c = c; k_ubs }
 
+(* A sparse work vector for one FTRAN'd column: dense values that are
+   exactly 0.0 outside the pattern [w_rows.(0 .. w_nnz-1)], the rows
+   touched since it was last cleared, with [w_mark] flagging its members.
+   Clearing touches only the pattern, never all [m] rows. *)
+type work = {
+  w_val : float array;
+  w_rows : int array;
+  mutable w_nnz : int;
+  w_mark : int array;  (* bit [i land 31] of word [i lsr 5] marks row [i] *)
+}
+
+let new_work m =
+  let marks = Array.make ((m + 31) / 32) 0 in
+  { w_val = Array.make m 0.0; w_rows = Array.make m 0; w_nnz = 0; w_mark = marks }
+
 type state = {
   m : int;
   n : int;
@@ -130,6 +152,7 @@ type state = {
   pos : int array;
   x_b : float array;
   b : float array;
+  work : work;  (* FTRAN work vector: the column {!load_column} loaded last *)
   mutable etas : eta array;
   mutable n_etas : int;
   mutable factor_etas : int;
@@ -148,19 +171,6 @@ let push_eta st e =
   st.etas.(st.n_etas) <- e;
   st.n_etas <- st.n_etas + 1
 
-let ftran st v =
-  for t = 0 to st.n_etas - 1 do
-    let e = st.etas.(t) in
-    let x = v.(e.e_row) in
-    if Float.abs x > eps then begin
-      v.(e.e_row) <- e.e_pivot *. x;
-      let idx = e.e_idx and vl = e.e_val in
-      for k = 0 to Array.length idx - 1 do
-        v.(idx.(k)) <- v.(idx.(k)) +. (vl.(k) *. x)
-      done
-    end
-  done
-
 let btran st y =
   for t = st.n_etas - 1 downto 0 do
     let e = st.etas.(t) in
@@ -172,40 +182,133 @@ let btran st y =
     y.(e.e_row) <- clamp !acc
   done
 
-let scatter st j v =
-  if j < st.n then begin
-    let idx = st.cidx.(j) and vl = st.cval.(j) in
-    for k = 0 to Array.length idx - 1 do
-      v.(idx.(k)) <- vl.(k)
+(* Empty the work vector, touching only the previous pattern. *)
+let clear w =
+  for k = 0 to w.w_nnz - 1 do
+    let i = w.w_rows.(k) in
+    w.w_val.(i) <- 0.0;
+    w.w_mark.(i lsr 5) <- 0
+  done;
+  w.w_nnz <- 0
+
+(* Append row [i], not yet in the pattern. *)
+let add_row w i =
+  w.w_mark.(i lsr 5) <- w.w_mark.(i lsr 5) lor (1 lsl (i land 31));
+  w.w_rows.(w.w_nnz) <- i;
+  w.w_nnz <- w.w_nnz + 1
+
+(* Bit position of a power of two below 2^32 (de Bruijn multiplication). *)
+let debruijn =
+  [| 0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8;
+     31; 27; 13; 23; 21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9 |]
+
+(* Sort the pattern ascending by reading it back off the mark words, in
+   O(nnz + m/32); a pattern that is one ascending run already (a column
+   no eta filled) is left as it is. *)
+let sort_rows w =
+  let rows = w.w_rows and n = w.w_nnz in
+  let k = ref 1 in
+  while !k < n && rows.(!k - 1) < rows.(!k) do
+    incr k
+  done;
+  if !k < n then begin
+    let c = ref 0 in
+    for q = 0 to Array.length w.w_mark - 1 do
+      let x = ref w.w_mark.(q) in
+      while !x <> 0 do
+        let low = !x land - !x in
+        rows.(!c) <- (q lsl 5) + debruijn.(((low * 0x077CB531) land 0xFFFFFFFF) lsr 27);
+        incr c;
+        x := !x lxor low
+      done
     done
   end
-  else v.(j - st.n) <- 1.0
 
-let eta_of_alpha ~row alpha =
-  let ar = alpha.(row) in
-  let m = Array.length alpha in
-  let cnt = ref 0 in
-  for i = 0 to m - 1 do
-    if i <> row && Float.abs alpha.(i) > eps then incr cnt
+(* FTRAN the work vector over etas [lo .. hi-1], recording their fill. *)
+let apply_etas st w lo hi =
+  let v = w.w_val and mark = w.w_mark and rows = w.w_rows in
+  let nnz = ref w.w_nnz in
+  for t = lo to hi - 1 do
+    let e = st.etas.(t) in
+    let x = v.(e.e_row) in
+    if Float.abs x > eps then begin
+      v.(e.e_row) <- e.e_pivot *. x;
+      let idx = e.e_idx and vl = e.e_val in
+      for k = 0 to Array.length idx - 1 do
+        let i = idx.(k) in
+        let old = v.(i) in
+        v.(i) <- old +. (vl.(k) *. x);
+        (* Only a row holding exactly 0.0 can be new to the pattern. No
+           call here: one would make the loop spill its registers. *)
+        if old = 0.0 then begin
+          let q = i lsr 5 and bit = 1 lsl (i land 31) in
+          if mark.(q) land bit = 0 then begin
+            mark.(q) <- mark.(q) lor bit;
+            rows.(!nnz) <- i;
+            incr nnz
+          end
+        end
+      done
+    end
   done;
+  w.w_nnz <- !nnz
+
+(* The one column routine: load structural column [j] into [st.work] and
+   FTRAN it over the eta file, except the etas [skip_lo .. skip_hi-1],
+   recording the rows it touches; then sort the pattern ascending. Each
+   eta applied computes the same floats as over a dense vector (a row
+   outside the pattern holds 0.0 exactly, as it would there), and the
+   ascending pattern keeps every consumer's scan order. *)
+let load_column st j ~skip_lo ~skip_hi =
+  let w = st.work in
+  clear w;
+  let idx = st.cidx.(j) and vl = st.cval.(j) in
+  for k = 0 to Array.length idx - 1 do
+    w.w_val.(idx.(k)) <- vl.(k);
+    add_row w idx.(k)
+  done;
+  apply_etas st w 0 skip_lo;
+  apply_etas st w skip_hi st.n_etas;
+  sort_rows w
+
+let ftran_column st j = load_column st j ~skip_lo:st.n_etas ~skip_hi:st.n_etas
+
+(* The eta of pivoting the loaded column on [row]: its off-pivot entries
+   above [eps], in the pattern's ascending order. *)
+let eta_of_work w ~row =
+  let v = w.w_val and rows = w.w_rows in
+  let cnt = ref 0 in
+  for k = 0 to w.w_nnz - 1 do
+    let i = rows.(k) in
+    if i <> row && Float.abs v.(i) > eps then incr cnt
+  done;
+  let ar = v.(row) in
   let idx = Array.make !cnt 0 and vl = Array.make !cnt 0.0 in
-  let k = ref 0 in
-  for i = 0 to m - 1 do
-    if i <> row && Float.abs alpha.(i) > eps then begin
-      idx.(!k) <- i;
-      vl.(!k) <- -.(alpha.(i) /. ar);
-      incr k
+  let c = ref 0 in
+  for k = 0 to w.w_nnz - 1 do
+    let i = rows.(k) in
+    if i <> row && Float.abs v.(i) > eps then begin
+      idx.(!c) <- i;
+      vl.(!c) <- -.(v.(i) /. ar);
+      incr c
     end
   done;
   { e_row = row; e_pivot = 1.0 /. ar; e_idx = idx; e_val = vl }
 
-let pivot st ~row ~col ~t ~dir ~enter_val alpha =
+(* x_B -= step * the work vector, over its pattern entries above [eps]. *)
+let step_x_b st step =
+  let w = st.work in
+  for k = 0 to w.w_nnz - 1 do
+    let i = w.w_rows.(k) in
+    if Float.abs w.w_val.(i) > eps then
+      st.x_b.(i) <- clamp (st.x_b.(i) -. (step *. w.w_val.(i)))
+  done
+
+(* Pivot the loaded column into the basis at [row]. *)
+let pivot st ~row ~col ~t ~dir ~enter_val =
   let step = t *. dir in
-  push_eta st (eta_of_alpha ~row alpha);
-  for i = 0 to st.m - 1 do
-    if i <> row && Float.abs alpha.(i) > eps then
-      st.x_b.(i) <- clamp (st.x_b.(i) -. (step *. alpha.(i)))
-  done;
+  push_eta st (eta_of_work st.work ~row);
+  step_x_b st step;
   st.x_b.(row) <- clamp (enter_val +. step);
   st.pos.(st.basis.(row)) <- -1;
   st.basis.(row) <- col;
@@ -216,19 +319,25 @@ let pivot st ~row ~col ~t ~dir ~enter_val alpha =
 let load_x_b st =
   Array.fill st.pos 0 (st.n + st.m) (-1);
   Array.iteri (fun i col -> st.pos.(col) <- i) st.basis;
-  Array.blit st.b 0 st.x_b 0 st.m;
+  let w = st.work in
+  let v = w.w_val in
+  clear w;
+  for i = 0 to st.m - 1 do
+    v.(i) <- st.b.(i);
+    add_row w i
+  done;
   for j = 0 to st.n - 1 do
     if st.pos.(j) < 0 && st.at_ub.(j) then begin
       let u = st.ubs.(j) in
       let idx = st.cidx.(j) and vl = st.cval.(j) in
       for k = 0 to Array.length idx - 1 do
-        st.x_b.(idx.(k)) <- st.x_b.(idx.(k)) -. (vl.(k) *. u)
+        v.(idx.(k)) <- v.(idx.(k)) -. (vl.(k) *. u)
       done
     end
   done;
-  ftran st st.x_b;
+  apply_etas st w 0 st.n_etas;
   for i = 0 to st.m - 1 do
-    st.x_b.(i) <- clamp st.x_b.(i)
+    st.x_b.(i) <- clamp v.(i)
   done;
   st.factor_etas <- st.n_etas
 
@@ -243,9 +352,19 @@ let load_x_b st =
            No other remaining column touches that row, so applying the
            eta downstream is a pattern no-op: each such eta carries
            exactly the column's own off-pivot entries and no fill;
-   pass 3: the residual "bump" (rarely more than a handful of columns in
-           an LP basis) is eliminated densely, smallest column first,
+   pass 3: the residual "bump" (some 50 columns in a basis of 800 rows
+           on the paper's case 1) is eliminated smallest column first,
            picking pivot rows by magnitude.
+
+   Every column goes through {!load_column}, so a refactorisation costs
+   time in proportion to the nonzeros it touches. Passes 2 and 3 also skip
+   the FTRAN over the pass-2 etas: a pass-2 column's pivot row holds no
+   entry of any column still unplaced, and by induction over the pass-2
+   etas every later column is exactly 0.0 on it when its eta comes up, so
+   a full FTRAN would skip that eta too. By the same induction a pass-2
+   column reaches its pivot row with its raw coefficient there; if that is
+   at most [eps], no column can ever pivot on the row and the basis is
+   singular, which is reported at once.
 
    The eta file goes into a fresh array: the old one may belong to a
    published {!factor}, which no solve may write into. Fails with a bare
@@ -254,44 +373,22 @@ let refactor st =
   let rt0 = Telemetry.Clock.now_s () in
   st.etas <- Array.make (max 16 st.m) dummy_eta;
   st.n_etas <- 0;
+  let w = st.work in
   let order = Array.copy st.basis in
   let taken = Array.make st.m false in
   let placed = Array.make st.m false in
-  let v = Array.make st.m 0.0 in
   let place t col row =
     taken.(row) <- true;
     placed.(t) <- true;
     st.basis.(row) <- col
   in
-  let pivot_full t col ~row_hint =
-    Array.fill v 0 st.m 0.0;
-    scatter st col v;
-    ftran st v;
-    let row =
-      match row_hint with
-      | Some r when Float.abs v.(r) > eps -> r
-      | _ ->
-        let best = ref (-1) and best_mag = ref 0.0 in
-        for i = 0 to st.m - 1 do
-          if (not taken.(i)) && Float.abs v.(i) > eps then begin
-            let mag = Float.abs v.(i) in
-            if !best < 0 || mag > !best_mag then begin
-              best := i;
-              best_mag := mag
-            end
-          end
-        done;
-        if !best < 0 then failwith "singular basis on refactorisation";
-        !best
-    in
-    push_eta st (eta_of_alpha ~row v);
-    place t col row
-  in
   Array.iteri
     (fun t col ->
       if col >= st.n then begin
+        (* a structural singleton took the row first: [e_r] twice *)
         let r = col - st.n in
-        if not taken.(r) then place t col r
+        if taken.(r) then failwith "singular basis on refactorisation";
+        place t col r
       end
       else if Array.length st.cidx.(col) = 1 then begin
         let r = st.cidx.(col).(0) in
@@ -303,6 +400,7 @@ let refactor st =
         end
       end)
     order;
+  let pass1 = st.n_etas in
   let row_count = Array.make st.m 0 in
   let row_cols = Array.make st.m [] in
   Array.iteri
@@ -327,7 +425,11 @@ let refactor st =
       | None -> ()
       | Some t ->
         let col = order.(t) in
-        pivot_full t col ~row_hint:(Some r);
+        load_column st col ~skip_lo:pass1 ~skip_hi:st.n_etas;
+        if Float.abs w.w_val.(r) <= eps then
+          failwith "singular basis on refactorisation";
+        push_eta st (eta_of_work w ~row:r);
+        place t col r;
         Array.iter
           (fun i ->
             if not taken.(i) then begin
@@ -336,6 +438,7 @@ let refactor st =
             end)
           st.cidx.(col)
   done;
+  let pass2 = st.n_etas in
   let bump = ref [] in
   Array.iteri (fun t _ -> if not placed.(t) then bump := t :: !bump) order;
   let bump =
@@ -344,7 +447,24 @@ let refactor st =
         compare (Array.length st.cidx.(order.(t1))) (Array.length st.cidx.(order.(t2))))
       !bump
   in
-  List.iter (fun t -> pivot_full t order.(t) ~row_hint:None) bump;
+  List.iter
+    (fun t ->
+      let col = order.(t) in
+      load_column st col ~skip_lo:pass1 ~skip_hi:pass2;
+      (* the untaken row of largest magnitude, the first on ties *)
+      let best = ref (-1) and best_mag = ref 0.0 in
+      for k = 0 to w.w_nnz - 1 do
+        let i = w.w_rows.(k) in
+        let mag = Float.abs w.w_val.(i) in
+        if (not taken.(i)) && mag > eps && (!best < 0 || mag > !best_mag) then begin
+          best := i;
+          best_mag := mag
+        end
+      done;
+      if !best < 0 then failwith "singular basis on refactorisation";
+      push_eta st (eta_of_work w ~row:!best);
+      place t col !best)
+    bump;
   load_x_b st;
   Telemetry.observe "lp.simplex.refactor_s" (Telemetry.Clock.now_s () -. rt0)
 
@@ -355,8 +475,9 @@ let refactor st =
    are never priced back in. Phase 1 prices the sum of artificials, phase 2
    the structural costs [c]; the two are selected by a flag rather than a
    cost closure so the reduced-cost loop stays allocation-free. Returns the
-   column and its direction, with its FTRAN'd tableau column in [alpha]. *)
-let entering st ~c ~phase2 ~bland ~y alpha =
+   column and its direction, with its FTRAN'd tableau column in
+   [st.work]. *)
+let entering st ~c ~phase2 ~bland ~y =
   for i = 0 to st.m - 1 do
     let bv = st.basis.(i) in
     y.(i) <-
@@ -407,9 +528,7 @@ let entering st ~c ~phase2 ~bland ~y alpha =
   in
   if chosen < 0 then None
   else begin
-    Array.fill alpha 0 st.m 0.0;
-    scatter st chosen alpha;
-    ftran st alpha;
+    ftran_column st chosen;
     Some (chosen, if st.at_ub.(chosen) then -1.0 else 1.0)
   end
 
@@ -418,20 +537,24 @@ type step =
   | Leave of { row : int; t : float; to_ub : bool }
   | Unbounded_dir
 
-(* Ratio test for a column moving by [t >= 0] in direction [dir]: basic
-   variables must stay within [0, ub], and the entering variable within
-   its own [span]. Bland tie-break on basis variable index. In phase 2, a
-   basic artificial (redundant row, value 0) also leaves on a ratio-0
-   degenerate step whenever its entry is nonzero in the blocking
-   direction — preferring artificials on ratio ties keeps Bland's
-   termination argument, as an artificial that leaves never re-enters. *)
-let ratio_test st alpha ~dir ~span ~phase2 =
+(* Ratio test for the loaded column moving by [t >= 0] in direction
+   [dir]: basic variables must stay within [0, ub], and the entering
+   variable within its own [span]. Only the column's pattern can block; it
+   is scanned in ascending row order, as the tolerance-based tie-breaks
+   need. Bland tie-break on basis variable index. In phase 2, a basic
+   artificial (redundant row, value 0) also leaves on a ratio-0 degenerate
+   step whenever its entry is nonzero in the blocking direction —
+   preferring artificials on ratio ties keeps Bland's termination
+   argument, as an artificial that leaves never re-enters. *)
+let ratio_test st ~dir ~span ~phase2 =
+  let w = st.work in
   let best = ref (-1) in
   let best_ratio = ref 0.0 in
   let best_to_ub = ref false in
   let best_art = ref false in
-  for i = 0 to st.m - 1 do
-    let aeff = dir *. alpha.(i) in
+  for k = 0 to w.w_nnz - 1 do
+    let i = w.w_rows.(k) in
+    let aeff = dir *. w.w_val.(i) in
     if Float.abs aeff > eps then begin
       let bv = st.basis.(i) in
       let art = bv >= st.n in
@@ -462,46 +585,46 @@ let ratio_test st alpha ~dir ~span ~phase2 =
   else if span < infinity && fcmp span !best_ratio <= 0 then Flip
   else Leave { row = !best; t = !best_ratio; to_ub = !best_to_ub }
 
+(* The start of every primal and dual iteration: check the deadline every
+   16 iterations, count the iteration, and refactorise once enough pivots
+   have piled up. The limit counts pivots since the last refactorisation,
+   not the eta-file length: refactorising itself emits up to [m] etas, so
+   an absolute threshold below [m] would re-trigger on every iteration. *)
+let next_iteration st ~iter_count ~deadline ~refactorisations =
+  (match deadline with
+   | Some t when !iter_count land 15 = 0 && Telemetry.Clock.now_s () > t ->
+     Telemetry.count "lp.simplex.deadline_aborts";
+     raise Deadline_exceeded
+   | Some _ | None -> ());
+  incr iter_count;
+  if st.n_etas - st.factor_etas > min 150 (50 + (st.m / 4)) then begin
+    incr refactorisations;
+    refactor st
+  end
+
 let run_phase st ~c ~phase2 ~max_iters ~iter_count ~deadline ~pivots
-    ~bland_pivots ~flips ~refactorisations alpha =
+    ~bland_pivots ~flips ~refactorisations =
   let switch = 3 * (st.m + st.n) in
-  (* Pivots since the last refactorisation, not total eta-file length:
-     refactorising itself emits up to [m] etas, so an absolute threshold
-     below [m] would re-trigger on every iteration. *)
-  let refactor_limit = min 150 (50 + (st.m / 4)) in
   let y = Array.make st.m 0.0 in
   let rec loop () =
     if !iter_count > max_iters then failwith "iteration limit exceeded";
-    (match deadline with
-     | Some t when !iter_count land 15 = 0 && Telemetry.Clock.now_s () > t ->
-       Telemetry.count "lp.simplex.deadline_aborts";
-       raise Deadline_exceeded
-     | Some _ | None -> ());
-    incr iter_count;
-    if st.n_etas - st.factor_etas > refactor_limit then begin
-      incr refactorisations;
-      refactor st
-    end;
+    next_iteration st ~iter_count ~deadline ~refactorisations;
     let bland = !iter_count > switch in
-    match entering st ~c ~phase2 ~bland ~y alpha with
+    match entering st ~c ~phase2 ~bland ~y with
     | None -> `Optimal
     | Some (col, dir) -> begin
       let span = st.ubs.(col) in
-      match ratio_test st alpha ~dir ~span ~phase2 with
+      match ratio_test st ~dir ~span ~phase2 with
       | Unbounded_dir -> `Unbounded
       | Flip ->
-        let step = span *. dir in
-        for i = 0 to st.m - 1 do
-          if Float.abs alpha.(i) > eps then
-            st.x_b.(i) <- clamp (st.x_b.(i) -. (step *. alpha.(i)))
-        done;
+        step_x_b st (span *. dir);
         st.at_ub.(col) <- not st.at_ub.(col);
         incr flips;
         loop ()
       | Leave { row; t; to_ub } ->
         let leaving = st.basis.(row) in
         let enter_val = if st.at_ub.(col) then st.ubs.(col) else 0.0 in
-        pivot st ~row ~col ~t ~dir ~enter_val alpha;
+        pivot st ~row ~col ~t ~dir ~enter_val;
         st.at_ub.(col) <- false;
         if leaving < st.n then st.at_ub.(leaving) <- to_ub;
         incr pivots;
@@ -517,7 +640,6 @@ let run_phase st ~c ~phase2 ~max_iters ~iter_count ~deadline ~pivots
    phase-2 ratio test instead. *)
 let drive_out_artificials st ~pivots =
   let rho = Array.make st.m 0.0 in
-  let alpha = Array.make st.m 0.0 in
   for i = 0 to st.m - 1 do
     if st.basis.(i) >= st.n then begin
       Array.fill rho 0 st.m 0.0;
@@ -538,12 +660,10 @@ let drive_out_artificials st ~pivots =
       in
       let col = find 0 in
       if col >= 0 then begin
-        Array.fill alpha 0 st.m 0.0;
-        scatter st col alpha;
-        ftran st alpha;
-        if Float.abs alpha.(i) > eps then begin
+        ftran_column st col;
+        if Float.abs st.work.w_val.(i) > eps then begin
           let enter_val = if st.at_ub.(col) then st.ubs.(col) else 0.0 in
-          pivot st ~row:i ~col ~t:0.0 ~dir:1.0 ~enter_val alpha;
+          pivot st ~row:i ~col ~t:0.0 ~dir:1.0 ~enter_val;
           st.at_ub.(col) <- false;
           incr pivots
         end
@@ -580,11 +700,9 @@ let drive_out_artificials st ~pivots =
    priced back in; if no eligible entering column exists the row is a valid
    infeasibility certificate, as trustworthy as the primal phase-1 test. *)
 let dual_phase st ~c ~max_iters ~iter_count ~deadline ~dual_pivots ~flips
-    ~refactorisations alpha =
-  let refactor_limit = min 150 (50 + (st.m / 4)) in
+    ~refactorisations =
   let y = Array.make st.m 0.0 in
   let rho = Array.make st.m 0.0 in
-  let delta = Array.make st.m 0.0 in
   let cand = Array.make st.n 0 in
   let cand_ratio = Array.make st.n 0.0 in
   let cand_arj = Array.make st.n 0.0 in
@@ -592,16 +710,7 @@ let dual_phase st ~c ~max_iters ~iter_count ~deadline ~dual_pivots ~flips
   let rec loop () =
     if !iter_count > max_iters then `Cycled
     else begin
-      (match deadline with
-       | Some t when !iter_count land 15 = 0 && Telemetry.Clock.now_s () > t ->
-         Telemetry.count "lp.simplex.deadline_aborts";
-         raise Deadline_exceeded
-       | Some _ | None -> ());
-      incr iter_count;
-      if st.n_etas - st.factor_etas > refactor_limit then begin
-        incr refactorisations;
-        refactor st
-      end;
+      next_iteration st ~iter_count ~deadline ~refactorisations;
       (* Bound-ratio pricing of the infeasible basic variables. *)
       let row = ref (-1) and score = ref 0.0 and above = ref false in
       for i = 0 to st.m - 1 do
@@ -702,31 +811,31 @@ let dual_phase st ~c ~max_iters ~iter_count ~deadline ~dual_pivots ~flips
           if !enter < 0 then `Dual_unbounded
           else begin
             (* Apply the accumulated flips with one FTRAN: the raw flipped
-               columns sum into [delta] and x_B -= B^-1 delta. *)
+               columns sum into [delta] (the work vector) and
+               x_B -= B^-1 delta. *)
             if !nflip > 0 then begin
-              Array.fill delta 0 st.m 0.0;
+              let w = st.work in
+              let delta = w.w_val in
+              clear w;
               for f = 0 to !nflip - 1 do
                 let j = cand.(order.(f)) in
                 let u = st.ubs.(j) in
                 let fstep = if st.at_ub.(j) then -.u else u in
                 let idx = st.cidx.(j) and vl = st.cval.(j) in
                 for t = 0 to Array.length idx - 1 do
-                  delta.(idx.(t)) <- delta.(idx.(t)) +. (fstep *. vl.(t))
+                  let i = idx.(t) in
+                  if w.w_mark.(i lsr 5) land (1 lsl (i land 31)) = 0 then add_row w i;
+                  delta.(i) <- delta.(i) +. (fstep *. vl.(t))
                 done;
                 st.at_ub.(j) <- not st.at_ub.(j);
                 incr flips
               done;
-              ftran st delta;
-              for i = 0 to st.m - 1 do
-                if Float.abs delta.(i) > eps then
-                  st.x_b.(i) <- clamp (st.x_b.(i) -. delta.(i))
-              done
+              apply_etas st w 0 st.n_etas;
+              step_x_b st 1.0
             end;
             let j = !enter in
-            Array.fill alpha 0 st.m 0.0;
-            scatter st j alpha;
-            ftran st alpha;
-            let arj = alpha.(r) in
+            ftran_column st j;
+            let arj = st.work.w_val.(r) in
             if Float.abs arj <= eps then `Numerical
             else begin
               let step = (st.x_b.(r) -. target) /. arj in
@@ -743,7 +852,7 @@ let dual_phase st ~c ~max_iters ~iter_count ~deadline ~dual_pivots ~flips
               then `Numerical
               else begin
                 let enter_val = if st.at_ub.(j) then st.ubs.(j) else 0.0 in
-                pivot st ~row:r ~col:j ~t:step ~dir:1.0 ~enter_val alpha;
+                pivot st ~row:r ~col:j ~t:step ~dir:1.0 ~enter_val;
                 st.at_ub.(j) <- false;
                 if leaving < st.n then st.at_ub.(leaving) <- !above;
                 incr dual_pivots;
@@ -833,6 +942,7 @@ let resolve_with_basis ?(max_iters = 50_000) ?deadline k ~b ~spans ~snapshot ()
           pos;
           x_b = Array.make m 0.0;
           b = Array.copy b;
+          work = new_work m;
           etas = [||];
           n_etas = 0;
           factor_etas = 0;
@@ -855,12 +965,11 @@ let resolve_with_basis ?(max_iters = 50_000) ?deadline k ~b ~spans ~snapshot ()
       in
       Fun.protect ~finally:flush @@ fun () ->
       let iter_count = ref 0 in
-      let alpha = Array.make m 0.0 in
       match
         (try
            warm_factor st snapshot ~refactorisations ~factor_reuses;
            dual_phase st ~c ~max_iters ~iter_count ~deadline ~dual_pivots
-             ~flips ~refactorisations alpha
+             ~flips ~refactorisations
          with Failure msg -> `Failed msg)
       with
       | `Failed msg -> Stale msg
@@ -874,7 +983,7 @@ let resolve_with_basis ?(max_iters = 50_000) ?deadline k ~b ~spans ~snapshot ()
         match
           (try
              run_phase st ~c ~phase2:true ~max_iters ~iter_count ~deadline
-               ~pivots ~bland_pivots ~flips ~refactorisations alpha
+               ~pivots ~bland_pivots ~flips ~refactorisations
            with Failure msg -> `Failed msg)
         with
         | `Failed msg -> Stale msg
@@ -966,6 +1075,7 @@ let solve_cols ?(max_iters = 50_000) ?deadline ?snapshot_out k ~b () =
       pos;
       x_b = Array.map clamp b;
       b = Array.copy b;
+      work = new_work m;
       etas = [| dummy_eta |];
       n_etas = 0;
       factor_etas = 0;
@@ -994,7 +1104,6 @@ let solve_cols ?(max_iters = 50_000) ?deadline ?snapshot_out k ~b () =
   in
   Fun.protect ~finally:flush @@ fun () ->
   let iter_count = ref 0 in
-  let alpha = Array.make m 0.0 in
   (* The pivot loop and refactorisation fail with a bare reason (a warm
      re-solve turns it into [Stale]); a cold solve reports it under its own
      name. *)
@@ -1002,7 +1111,7 @@ let solve_cols ?(max_iters = 50_000) ?deadline ?snapshot_out k ~b () =
     (* Phase 1: minimise the sum of artificials. *)
     match
       run_phase st ~c ~phase2:false ~max_iters ~iter_count ~deadline ~pivots
-        ~bland_pivots ~flips ~refactorisations alpha
+        ~bland_pivots ~flips ~refactorisations
     with
     | `Unbounded -> failwith "phase-1 unbounded (impossible)"
     | `Optimal ->
@@ -1016,7 +1125,7 @@ let solve_cols ?(max_iters = 50_000) ?deadline ?snapshot_out k ~b () =
         (* Phase 2: real costs over the structural columns. *)
         match
           run_phase st ~c ~phase2:true ~max_iters ~iter_count ~deadline ~pivots
-            ~bland_pivots ~flips ~refactorisations alpha
+            ~bland_pivots ~flips ~refactorisations
         with
         | `Unbounded -> Unbounded
         | `Optimal ->

@@ -16,6 +16,14 @@
     Bland fallback that guarantees termination. Comparisons use an absolute
     tolerance of [1e-9].
 
+    FTRAN'd columns live in a sparse work vector that records the rows each
+    FTRAN touches, sorted ascending afterwards: building an eta, updating
+    the basic values, the primal ratio test and refactorisation scan only
+    those rows, in the order a dense scan would, so they compute the same
+    floats in time proportional to nonzeros. Refactorisation also skips the
+    FTRAN over its own triangular-pass etas: each pivots on a row where
+    every later column is exactly zero.
+
     A cold solve ({!solve_cols}) runs a crash basis and two primal phases; a
     warm re-solve ({!resolve_with_basis}) repairs a parent's basis with a
     bound-flipping dual simplex. Every array on the hot path is an unboxed
@@ -90,12 +98,14 @@ val compile :
   ubs:float option array ->
   compiled
 (** [compile ~nrows ~cols ~c ~ubs] with [cols.(j)] the sparse column of
-    structural variable [j] as (row, coefficient) pairs (each row at most
-    once per column), [c] its cost and [ubs.(j)], when present, its strictly
-    positive root span (upper bound; default: none — the classic [x >= 0]
-    form). Fixed variables must be substituted out by the caller.
-    @raise Invalid_argument on shape mismatch, a row index out of range or a
-    non-positive span. *)
+    structural variable [j] as (row, coefficient) pairs in strictly
+    ascending row order, [c] its cost and [ubs.(j)], when present, its
+    strictly positive root span (upper bound; default: none — the classic
+    [x >= 0] form). Fixed variables must be substituted out by the caller.
+    The kernel relies on that order: it keeps the rows of every eta
+    ascending, which fixes the summation order of every BTRAN.
+    @raise Invalid_argument on shape mismatch, a row index out of range,
+    rows not strictly ascending within a column or a non-positive span. *)
 
 val solve_cols :
   ?max_iters:int ->

@@ -295,20 +295,26 @@ let prop_float_matches_oracle =
       | _, _ -> false)
 
 (* A warm dual re-solve after a bound change must land on the same optimum
-   as a cold solve of the changed model. *)
+   as a cold solve of the changed model. The change narrows one variable's
+   box from either side: a lowered upper bound, a raised lower bound (which
+   the warm path folds into the rhs as [b - A lo]) or both. A raised lower
+   bound may make the model infeasible, and then both must say so. *)
 let arb_lp_rebound =
   let gen =
     QCheck.Gen.(
       gen_box_lp >>= fun ((nvars, _, _) as spec) ->
       int_range 0 (nvars - 1) >>= fun vi ->
-      int_range 0 50 >>= fun new_ub -> return (spec, vi, new_ub))
+      frequency [ (1, return 0); (2, int_range 1 10); (1, int_range 11 50) ]
+      >>= fun new_lb ->
+      int_range new_lb 50 >>= fun new_ub -> return (spec, vi, new_lb, new_ub))
   in
-  QCheck.make gen ~print:(fun (spec, vi, new_ub) ->
-      Printf.sprintf "%s change x%d.ub=%d" (print_box_lp spec) vi new_ub)
+  QCheck.make gen ~print:(fun (spec, vi, new_lb, new_ub) ->
+      Printf.sprintf "%s change x%d in [%d,%d]" (print_box_lp spec) vi new_lb
+        new_ub)
 
 let prop_warm_resolve_matches_cold =
   QCheck.Test.make ~name:"warm dual re-solve matches cold optimum" ~count:150
-    arb_lp_rebound (fun ((nvars, _, _) as spec, vi, new_ub) ->
+    arb_lp_rebound (fun ((nvars, _, _) as spec, vi, new_lb, new_ub) ->
       let m = build_box_lp spec in
       let cell = S.new_basis () in
       match S.solve_relaxation_float ~basis:cell m with
@@ -316,8 +322,8 @@ let prop_warm_resolve_matches_cold =
       | S.Optimal _ ->
         let bounds =
           Array.init nvars (fun i ->
-              let ub = if i = vi then new_ub else 50 in
-              (Some Q.zero, Some (Q.of_int ub)))
+              if i = vi then (Some (Q.of_int new_lb), Some (Q.of_int new_ub))
+              else (Some Q.zero, Some (Q.of_int 50)))
         in
         (* the cell now holds the optimal basis of the unchanged model;
            re-solving under [bounds] exercises the dual repair path *)
@@ -326,6 +332,7 @@ let prop_warm_resolve_matches_cold =
         (match (warm, cold) with
          | S.Optimal { objective = w; _ }, S.Optimal { objective = c; _ } ->
            Float.abs (w -. c) < 1e-6
+         | S.Infeasible, S.Infeasible -> true
          | _, _ -> false))
 
 (* Sibling re-solves share the factor of their parent's basis: the first
@@ -413,6 +420,115 @@ let prop_sibling_factor_domains =
       let u = Domain.spawn (fun () -> solve shared up) in
       let down2 = Domain.join d and up2 = Domain.join u in
       down1 = down2 && up1 = up2)
+
+(* The factor a warm re-solve publishes must be, bit for bit, the one the
+   dense reference refactorisation of [refactor_oracle.ml] builds from the
+   same basis. A random basis over 2 to 12 rows covers the rows of a random
+   permutation, one column per row, each column an artificial, a slack, a
+   scaled singleton or a column of 2 to 5 entries; so it mixes the cases
+   the three passes handle (identity-like columns, columns alone on a row,
+   and the overlapping rest, the bump). A column now and then covers a
+   random row instead, and a coefficient now and then is 1e-12, below the
+   pivot tolerance; both make some bases singular, and then neither side
+   may produce a factor. The basis order is shuffled, as refactorisation
+   depends on it. *)
+let arb_sparse_basis =
+  let gen =
+    QCheck.Gen.(
+      int_range 2 12 >>= fun m ->
+      let coeff =
+        frequency
+          [
+            (4, map (fun k -> float_of_int k /. 4.0) (int_range (-20) 20));
+            (2, float_range (-5.0) 5.0);
+            (1, return 1e-12);
+          ]
+      in
+      let column r =
+        frequency
+          [
+            (1, return None);
+            (2, return (Some [| (r, 1.0) |]));
+            (1, map (fun a -> Some [| (r, a) |]) coeff);
+            ( 4,
+              int_range 1 (min (m - 1) 4) >>= fun k ->
+              shuffle_l (List.filter (( <> ) r) (List.init m Fun.id))
+              >>= fun others ->
+              let rows = List.sort compare (r :: List.filteri (fun i _ -> i < k) others) in
+              map
+                (fun col -> Some (Array.of_list col))
+                (flatten_l (List.map (fun i -> map (fun a -> (i, a)) coeff) rows)) );
+          ]
+      in
+      shuffle_l (List.init m Fun.id) >>= fun perm ->
+      flatten_l
+        (List.map
+           (fun r ->
+             frequency [ (7, return r); (1, int_range 0 (m - 1)) ] >>= fun r ->
+             map (fun col -> (r, col)) (column r))
+           perm)
+      >>= fun slots ->
+      shuffle_l slots >>= fun slots ->
+      let cols = Array.of_list (List.filter_map snd slots) in
+      let n = Array.length cols in
+      let next = ref 0 in
+      let basis =
+        List.map
+          (function
+            | r, None -> n + r
+            | _, Some _ ->
+              incr next;
+              !next - 1)
+          slots
+      in
+      return (m, cols, Array.of_list basis))
+  in
+  QCheck.make gen ~print:(fun (m, cols, basis) ->
+      Printf.sprintf "m=%d basis=[%s] cols=%s" m
+        (String.concat ";" (Array.to_list (Array.map string_of_int basis)))
+        (String.concat " "
+           (Array.to_list
+              (Array.mapi
+                 (fun j col ->
+                   Printf.sprintf "%d:{%s}" j
+                     (String.concat ","
+                        (Array.to_list
+                           (Array.map (fun (i, a) -> Printf.sprintf "%d:%h" i a) col))))
+                 cols))))
+
+let prop_refactor_matches_oracle =
+  QCheck.Test.make ~name:"published factor matches the dense refactorisation"
+    ~count:500 arb_sparse_basis (fun (m, cols, basis) ->
+      let n = Array.length cols in
+      let k =
+        Lp.Tableau_float.compile ~nrows:m ~cols ~c:(Array.make n 0.0)
+          ~ubs:(Array.make n None)
+      in
+      let snapshot =
+        Lp.Tableau_float.new_snapshot ~basis ~at_ub:(Array.make n false)
+      in
+      ignore
+        (Lp.Tableau_float.resolve_with_basis k ~b:(Array.make m 0.0) ~spans:[]
+           ~snapshot ());
+      match
+        (Atomic.get snapshot.s_factor, Refactor_oracle.refactor ~nrows:m ~cols basis)
+      with
+      | None, None -> true
+      | Some f, Some (order, etas) ->
+        factor_contents f = factor_contents { f_basis = order; f_etas = etas }
+      | Some _, None | None, Some _ -> false)
+
+let test_compile_rejects_unsorted_rows () =
+  let compile cols =
+    Lp.Tableau_float.compile ~nrows:3 ~cols ~c:[| 0.0 |] ~ubs:[| None |]
+  in
+  ignore (compile [| [| (0, 1.0); (2, 1.0) |] |]);
+  List.iter
+    (fun col ->
+      Alcotest.check_raises "rows not strictly ascending"
+        (Invalid_argument "Tableau_float.compile: rows not strictly ascending")
+        (fun () -> ignore (compile [| col |])))
+    [ [| (2, 1.0); (0, 1.0) |]; [| (1, 1.0); (1, 2.0) |] ]
 
 (* ---------- Presolve ---------- *)
 
@@ -697,6 +813,8 @@ let () =
           Alcotest.test_case "fixed var" `Quick test_simplex_fixed_var;
           Alcotest.test_case "crossed bounds" `Quick test_simplex_crossed_bounds;
           Alcotest.test_case "degenerate (Beale)" `Quick test_simplex_degenerate;
+          Alcotest.test_case "compile rejects unsorted rows" `Quick
+            test_compile_rejects_unsorted_rows;
         ] );
       ( "simplex-props",
         qsuite
@@ -705,6 +823,7 @@ let () =
             prop_warm_resolve_matches_cold;
             prop_sibling_factor_shared;
             prop_sibling_factor_domains;
+            prop_refactor_matches_oracle;
           ] );
       ( "presolve",
         [

@@ -15,138 +15,11 @@ let fresh () =
   Telemetry.enable ();
   Telemetry.reset ()
 
-(* ------------------------------------------------- tiny JSON validator *)
-
-(* Recursive-descent check that a string is one well-formed JSON value.
-   Enough for "the exporters emit valid JSON" without a json dependency. *)
-let json_valid s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
-  in
-  let fail = ref false in
-  let expect c =
-    if peek () = Some c then advance () else fail := true
-  in
-  let rec value () =
-    if !fail then ()
-    else begin
-      skip_ws ();
-      match peek () with
-      | Some '{' -> obj ()
-      | Some '[' -> arr ()
-      | Some '"' -> string_lit ()
-      | Some ('-' | '0' .. '9') -> number ()
-      | Some 't' -> literal "true"
-      | Some 'f' -> literal "false"
-      | Some 'n' -> literal "null"
-      | _ -> fail := true
-    end
-  and literal lit =
-    String.iter (fun c -> expect c) lit
-  and string_lit () =
-    expect '"';
-    let rec go () =
-      if !fail then ()
-      else
-        match peek () with
-        | None -> fail := true
-        | Some '"' -> advance ()
-        | Some '\\' ->
-          advance ();
-          (match peek () with
-           | Some ('"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't') ->
-             advance ();
-             go ()
-           | Some 'u' ->
-             advance ();
-             for _ = 1 to 4 do
-               match peek () with
-               | Some ('0' .. '9' | 'a' .. 'f' | 'A' .. 'F') -> advance ()
-               | _ -> fail := true
-             done;
-             go ()
-           | _ -> fail := true)
-        | Some _ ->
-          advance ();
-          go ()
-    in
-    go ()
-  and number () =
-    let digits () =
-      let saw = ref false in
-      let rec go () =
-        match peek () with
-        | Some '0' .. '9' ->
-          saw := true;
-          advance ();
-          go ()
-        | _ -> ()
-      in
-      go ();
-      if not !saw then fail := true
-    in
-    if peek () = Some '-' then advance ();
-    digits ();
-    if peek () = Some '.' then begin
-      advance ();
-      digits ()
-    end;
-    (match peek () with
-     | Some ('e' | 'E') ->
-       advance ();
-       (match peek () with Some ('+' | '-') -> advance () | _ -> ());
-       digits ()
-     | _ -> ())
-  and obj () =
-    expect '{';
-    skip_ws ();
-    if peek () = Some '}' then advance ()
-    else begin
-      let rec members () =
-        skip_ws ();
-        string_lit ();
-        skip_ws ();
-        expect ':';
-        value ();
-        skip_ws ();
-        match peek () with
-        | Some ',' ->
-          advance ();
-          members ()
-        | Some '}' -> advance ()
-        | _ -> fail := true
-      in
-      members ()
-    end
-  and arr () =
-    expect '[';
-    skip_ws ();
-    if peek () = Some ']' then advance ()
-    else begin
-      let rec items () =
-        value ();
-        skip_ws ();
-        match peek () with
-        | Some ',' ->
-          advance ();
-          items ()
-        | Some ']' -> advance ()
-        | _ -> fail := true
-      in
-      items ()
-    end
-  in
-  value ();
-  skip_ws ();
-  (not !fail) && !pos = n
+(* The exporters' output must read back as one JSON value. *)
+let check_json what s =
+  match Telemetry.Json.of_string s with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "%s is not valid JSON: %s" what msg
 
 (* ------------------------------------------------------------- spans *)
 
@@ -245,8 +118,8 @@ let test_exporters_valid_and_deterministic () =
       record_sample_run ();
       let trace1 = Telemetry.Export.chrome_trace () in
       let stats1 = Telemetry.Export.stats_json ~meta:[ ("k", Telemetry.Json.String "v") ] () in
-      Alcotest.(check bool) "chrome trace is valid JSON" true (json_valid trace1);
-      Alcotest.(check bool) "stats is valid JSON" true (json_valid stats1);
+      check_json "chrome trace" trace1;
+      check_json "stats" stats1;
       (* identical run under the same fixed clock must serialise identically *)
       Telemetry.Clock.set_source
         (let t = ref 0.0 in
@@ -289,7 +162,6 @@ let test_json_roundtrip () =
       ]
   in
   let s = to_string j in
-  Alcotest.(check bool) "writer emits valid JSON" true (json_valid s);
   match of_string s with
   | Error msg -> Alcotest.fail msg
   | Ok j' ->
@@ -373,7 +245,7 @@ let test_retry_oracle_interventions_reported () =
     (contains table "runtime.retry_oracle.interventions");
   Alcotest.(check bool) "stats json reports interventions" true
     (contains json "runtime.retry_oracle.interventions");
-  Alcotest.(check bool) "stats json valid" true (json_valid json)
+  check_json "stats json" json
 
 let test_synthesis_spans_recorded () =
   fresh ();
